@@ -119,6 +119,7 @@ class _ShardedRouter:
             backend == "process" and replicas != "off"
         )
         self._suppress_replicas = False
+        self._replicas_published = False
         self._replica_serves = 0
         self._replica_fallbacks = 0
         self._replica_stale = 0
@@ -241,6 +242,16 @@ class _ShardedRouter:
         replica, each answer exact at the version it claims).
         """
         if not self._replicas_enabled or self._suppress_replicas:
+            return None
+        if not self._replicas_published:
+            # Workers publish asynchronously, so until one round trip
+            # has certified them a replica may still hold the empty or a
+            # part-restored state.  The first fan-out after construction
+            # (or restore) therefore takes the command queues, whose
+            # reply republishes every replica first.
+            self._replicas_published = True
+            self._replica_unavailable += 1
+            self._replica_fallbacks += 1
             return None
         readers = self._executor.replica_readers
         if readers is None:  # pragma: no cover - enabled implies readers

@@ -942,8 +942,9 @@ def verify_sharded(router: "_ShardedRouter") -> None:
     (a shard never prunes the ``k`` youngest in-window dominators of
     any point) — so the brute-force tie-rule scan over the union equals
     the single-engine answer.  The merge path under test is entirely
-    different code (vectorised dedupe + Pareto mask, or the capped
-    witness count), which is what makes this a real cross-check.
+    different code (the blocked cross-shard dominance kernel, or its
+    vectorised witness count), which is what makes this a real
+    cross-check.
 
     Raises
     ------

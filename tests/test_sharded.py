@@ -364,6 +364,24 @@ class TestPersistence:
                 assert serial_clone.replica_mode == "auto"
                 assert serial_clone.replica_stats() is None
 
+    def test_restore_then_query_reads_the_restored_state(self, rng):
+        # With unbounded replica lag a query may serve whatever each
+        # replica last published; the restored state must be published
+        # before the first replica read is served.
+        points = random_points(rng, 2, 30, grid=5)
+        reference = NofNSkyline(dim=2, capacity=10)
+        reference.append_many(points)
+        with ShardedNofNSkyline(dim=2, capacity=10, shards=2) as router:
+            router.append_many(points)
+            snap = snapshot(router)
+        snap["backend"] = "process"
+        snap["replicas"] = {"mode": "on", "lag": None}
+        for _ in range(8):
+            with restore(snap) as clone:
+                for n in (10, 1):
+                    same_elements(clone.query(n), reference.query(n))
+                assert clone.replica_stats()["serves"] == 1
+
     def test_growth_continues_after_restore(self, rng):
         points = random_points(rng, 2, 60, grid=7)
         reference = NofNSkyline(dim=2, capacity=10)

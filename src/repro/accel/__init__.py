@@ -12,11 +12,12 @@ queries between structural changes, and the R-tree leaf kernels
 (:mod:`repro.accel.rtree_kernels`) that vectorise the per-leaf
 dominance tests inside the maintenance searches.
 
-Importing the package never requires NumPy: the static-skyline helpers
-are only exported when NumPy is importable, and
-:mod:`repro.accel.batch_prefilter`, :mod:`repro.accel.stab_cache` and
+The static-skyline helpers are only exported when NumPy is importable,
+and :mod:`repro.accel.batch_prefilter` and
 :mod:`repro.accel.rtree_kernels` fall back to pure-Python
 implementations (slower, identical results) without it.
+:mod:`repro.accel.stab_cache` needs NumPy, a declared dependency of the
+package.
 """
 
 from repro.accel.batch_prefilter import BatchPrefilter, intra_batch_survivors

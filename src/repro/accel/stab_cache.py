@@ -5,43 +5,41 @@ interval encoding of the critical dominance graph (Theorem 3).  The
 engines' write path keeps that encoding in an augmented red-black tree
 (:class:`~repro.structures.interval_tree.IntervalTree`), which is the
 right structure for ``O(log m)`` updates — but answering reads through
-it pays pure-Python pointer chasing per node.  Query traffic is
-typically far heavier than the update stream cares to admit, and the
-interval set changes only when an arrival, expiry or re-rooting touches
-the tree.
+it pays pure-Python pointer chasing per node.
 
-:class:`StabCache` therefore trades a little write-side work for a flat
-read path:
+The tree therefore also keeps a **write-maintained flat slot view**:
+``float64`` ``low``/``high`` slot arrays, a payload list and, once a sort
+key is attached, a per-slot key, all written by ``insert``/``remove``
+themselves (see :mod:`repro.structures.interval_tree`).  There is no
+snapshot to rebuild after a write, and :class:`StabCache` reads the
+slots directly:
 
-* **Versioned invalidation** — the interval tree bumps an integer
-  version on every insert/remove; the cache compares that single
-  integer per query, so invalidation is O(1) and *exact*: a cached
-  answer is reused iff the interval set is bit-for-bit the one it was
-  computed from.
-* **Flat snapshot** — on the first stab after a write the cache walks
-  the tree once (in ``(low, high, seq)`` key order, so lows arrive
-  sorted) into contiguous ``low``/``high`` arrays.  A stab at ``t``
-  becomes ``searchsorted`` + one vectorised comparison +
-  ``np.flatnonzero`` instead of an RB-tree descent.  Without NumPy the
-  same snapshot is scanned with :func:`bisect.bisect_left` and a plain
-  loop — slower, identical results.
+* **Vectorised stab** — a stab at ``t`` is one
+  ``flatnonzero((low < t) & (high >= t))`` over the slots (freed slots
+  hold ``low = +inf``, ``high = -inf`` and never match).  The hits are
+  ordered in C: by one ``argsort`` of the per-slot key when the cache
+  has a ``sort_key`` (the engines use ``kappa``), otherwise by one
+  ``lexsort`` on ``(low, high, slot)``.  Python only builds the
+  output list, one step per answer.
+* **Versioned invalidation** — the tree bumps an integer version on
+  every insert/remove; the cache compares that single integer per
+  query, so invalidation is O(1) and *exact*: a memoized answer is
+  reused iff the interval set is bit-for-bit the one it was computed
+  from.
 * **Elementary-span memo** — the answer to a stab is constant between
   consecutive interval endpoints: for ``t`` inside a span
   ``(v_i, v_{i+1}]`` of the sorted endpoint values, every ``low < t``
   and ``t <= high`` comparison has the same outcome for all of the
-  span (an endpoint can never fall strictly inside it).  The memo
-  therefore keys on the span index — one ``bisect`` per query — so
-  *distinct but equivalent* stab points share a single entry.  Under
-  query workloads that sweep ``n`` (or under continuous polling) most
-  queries collapse onto at most ``2 |R_N| + 1`` spans and answer from
-  the memo without touching the arrays.
+  span.  The memo keys on the span index — one ``bisect`` per query —
+  so *distinct but equivalent* stab points share one entry.  The span
+  bounds (one ``np.unique`` over the slots) are built only when a
+  version serves a *second* query: the first answer at each version is
+  held aside and filed under its span then, so a query after every
+  write pays no bounds at all, and a repeated query still hits.
 
-Results can be memoized **pre-sorted**: pass ``sort_key`` and every
-answer is ordered by it once, on the miss, instead of per query by the
-caller (the engines sort by kappa this way).  Callers receive a
-**fresh list** per call and may mutate it freely; the memo stores
-immutable tuples.  The cache never mutates the tree and may be dropped
-or re-attached at any time.
+Callers receive a **fresh list** per call and may mutate it freely; the
+memo stores immutable tuples.  The cache never changes the tree's
+intervals and may be dropped or re-attached at any time.
 """
 
 from __future__ import annotations
@@ -49,12 +47,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
-from repro.structures.interval_tree import IntervalTree
+import numpy as np
 
-try:  # pragma: no cover - exercised only without NumPy installed
-    import numpy as _np
-except ImportError:  # pragma: no cover - NumPy is optional
-    _np = None  # type: ignore[assignment]
+from repro.structures.interval_tree import IntervalTree
 
 D = TypeVar("D")
 
@@ -71,34 +66,35 @@ class StabCache(Generic[D]):
     Parameters
     ----------
     tree:
-        The live tree to mirror.  The cache reads ``tree.version`` and
-        ``tree.intervals()`` only; it never mutates the tree.
+        The live tree to read.  The cache reads ``tree.version`` and the
+        tree's slot view only.
     max_memo:
         Memo-table capacity (distinct elementary spans); the table is
         cleared when full.
     sort_key:
-        When given, answers are sorted by it once per memo entry, so
-        every :meth:`stab` returns an ordered list for free.  Without
-        it results follow the snapshot (ascending ``low``).
+        When given, answers are ordered by it.  The key is attached to
+        the tree (:meth:`IntervalTree.set_sort_key`), which stores its
+        value per slot at insert time, so ordering a miss is one
+        ``argsort``.  Without it results ascend by
+        ``(low, high, slot)``, the order of ``tree.intervals()``.
 
     Attributes
     ----------
     hits / misses:
         Memo-table hits and misses across the cache's lifetime.
     rebuilds:
-        How many times the flat snapshot was rebuilt after a write.
+        How many tree versions the cache has served (each write that a
+        later stab observes starts a fresh memo).
     """
 
     __slots__ = (
         "_tree",
-        "_snap_version",
-        "_lows",
-        "_highs",
-        "_data",
+        "_version",
+        "_keyed",
         "_bounds",
+        "_first",
         "_memo",
         "_max_memo",
-        "_sort_key",
         "hits",
         "misses",
         "rebuilds",
@@ -112,15 +108,17 @@ class StabCache(Generic[D]):
     ) -> None:
         if max_memo < 1:
             raise ValueError(f"max_memo must be >= 1, got {max_memo}")
+        if sort_key is not None:
+            tree.set_sort_key(sort_key)
         self._tree = tree
-        self._snap_version = -1  # tree versions start at 0: forces a build
-        self._lows: Any = []
-        self._highs: Any = []
-        self._data: List[D] = []
-        self._bounds: List[float] = []
+        self._keyed = sort_key is not None
+        self._version = -1  # tree versions start at 0: forces a refresh
+        # Span bounds of the current version, built on its second query;
+        # until then its first answer waits in ``_first`` as (t, answer).
+        self._bounds: Optional[List[float]] = None
+        self._first: Optional[Tuple[float, Tuple[D, ...]]] = None
         self._memo: Dict[int, Tuple[D, ...]] = {}
         self._max_memo = max_memo
-        self._sort_key = sort_key
         self.hits = 0
         self.misses = 0
         self.rebuilds = 0
@@ -133,53 +131,57 @@ class StabCache(Generic[D]):
         """Payloads of every interval with ``low < t <= high``.
 
         Same answer set as :meth:`IntervalTree.stab`; output is ordered
-        by ``sort_key`` when one was given, otherwise by the snapshot
-        (ascending ``low``).  Always returns a fresh list.
+        by ``sort_key`` when one was given, otherwise by
+        ``(low, high, slot)``.  Always returns a fresh list.
         """
-        if self._tree.version != self._snap_version:
-            self._rebuild()
+        if self._tree.version != self._version:
+            self._refresh()
+        bounds = self._bounds
+        if bounds is None:
+            first = self._first
+            if first is None:
+                self.misses += 1
+                out = self._slot_stab(t)
+                self._first = (t, tuple(out))
+                return out
+            bounds = self._bounds = self._span_bounds()
+            self._memo[bisect_left(bounds, first[0])] = first[1]
+            self._first = None
         # Stab answers are constant on the elementary spans between
         # consecutive endpoint values; the span index is the memo key.
-        span = bisect_left(self._bounds, t)
+        span = bisect_left(bounds, t)
         cached = self._memo.get(span)
         if cached is not None:
             self.hits += 1
             return list(cached)
         self.misses += 1
-        out = self._flat_stab(t)
-        if self._sort_key is not None:
-            out.sort(key=self._sort_key)
+        out = self._slot_stab(t)
         if len(self._memo) >= self._max_memo:
             self._memo.clear()
         self._memo[span] = tuple(out)
         return out
 
     def is_fresh(self) -> bool:
-        """Whether the snapshot matches the tree's current version."""
-        return self._tree.version == self._snap_version
+        """Whether the memo belongs to the tree's current version."""
+        return self._tree.version == self._version
 
     def snapshot_arrays(self) -> Tuple[Any, Any, List[D]]:
-        """The flat snapshot as ``(lows, highs, data)``, rebuilt first if
-        the tree has moved on.
+        """The live intervals as ``(lows, highs, data)``, sorted by
+        ``(low, high, slot)`` — the order of ``tree.intervals()``.
 
-        This is the export surface of the cache: the shared-memory shard
-        replicas (:mod:`repro.parallel.replicas`) publish exactly these
-        arrays, so a reader in another process can answer stabs with the
-        same ``searchsorted`` arithmetic :meth:`stab` uses locally.  With
-        NumPy installed ``lows``/``highs`` are ``float64`` arrays sorted
-        by ``low``; without it they are plain lists.  The returned
-        objects are the cache's own working copies — callers must treat
-        them as read-only (they are replaced wholesale, never mutated,
-        on the next rebuild).
+        ``lows``/``highs`` are fresh ``float64`` arrays compacted from
+        the tree's slot view (:meth:`IntervalTree.sorted_slots`); the
+        shared-memory shard replicas (:mod:`repro.parallel.replicas`)
+        publish the same arrays.
         """
-        if self._tree.version != self._snap_version:
-            self._rebuild()
-        return self._lows, self._highs, self._data
+        return self._tree.sorted_slots()
 
     def invalidate(self) -> None:
-        """Drop the snapshot and memo, forcing a rebuild on next stab."""
-        self._snap_version = -1
+        """Drop the memo, forcing a refresh on the next stab."""
+        self._version = -1
         self._memo.clear()
+        self._bounds = None
+        self._first = None
 
     def stats(self) -> Dict[str, int]:
         """Lifetime counters, for telemetry and the benchmarks."""
@@ -187,49 +189,39 @@ class StabCache(Generic[D]):
             "hits": self.hits,
             "misses": self.misses,
             "rebuilds": self.rebuilds,
-            "memo_size": len(self._memo),
-            "snapshot_size": len(self._data),
+            "memo_size": len(self._memo) + (self._first is not None),
+            "snapshot_size": len(self._tree),
         }
 
     # ------------------------------------------------------------------
-    # Snapshot maintenance
+    # Internals
     # ------------------------------------------------------------------
 
-    def _rebuild(self) -> None:
-        """Flatten the tree into sorted-by-low parallel arrays."""
-        lows: List[float] = []
-        highs: List[float] = []
-        data: List[D] = []
-        # intervals() yields in (low, high, seq) key order, so ``lows``
-        # is already sorted — no extra sort pass needed.
-        for interval in self._tree.intervals():
-            lows.append(interval.low)
-            highs.append(interval.high)
-            data.append(interval.data)
-        if _np is not None:
-            self._lows = _np.asarray(lows, dtype=_np.float64)
-            self._highs = _np.asarray(highs, dtype=_np.float64)
-        else:
-            self._lows = lows
-            self._highs = highs
-        self._data = data
-        # Elementary-span boundaries for the memo key (a plain list:
-        # ``bisect`` on it beats a scalar ``searchsorted`` call).
-        self._bounds = sorted(set(lows).union(highs))
+    def _refresh(self) -> None:
+        """Start serving the tree's current version with an empty memo."""
+        self._version = self._tree.version
         self._memo.clear()
-        self._snap_version = self._tree.version
+        self._bounds = None
+        self._first = None
         self.rebuilds += 1
 
-    def _flat_stab(self, t: float) -> List[D]:
-        """Vectorised stab over the flat snapshot: ``low < t <= high``."""
-        data = self._data
-        if _np is not None:
-            # Lows are sorted: everything left of ``idx`` has low < t.
-            idx = int(_np.searchsorted(self._lows, t, side="left"))
-            if idx == 0:
-                return []
-            hit = _np.flatnonzero(self._highs[:idx] >= t)
-            return [data[i] for i in hit.tolist()]
-        idx = bisect_left(self._lows, t)
-        highs = self._highs
-        return [data[i] for i in range(idx) if highs[i] >= t]
+    def _span_bounds(self) -> List[float]:
+        """Sorted distinct endpoint values over the slots.
+
+        A freed slot adds ``+inf``/``-inf``; an extra bound only splits
+        a span in two, which keeps every span's answer constant.  (A
+        plain list: ``bisect`` on it beats a scalar ``searchsorted``.)
+        """
+        low, high, _, _ = self._tree.slots()
+        bounds: List[float] = np.unique(np.concatenate((low, high))).tolist()
+        return bounds
+
+    def _slot_stab(self, t: float) -> List[D]:
+        """Vectorised stab over the slot view: ``low < t <= high``."""
+        low, high, key, data = self._tree.slots()
+        hit = np.flatnonzero((low < t) & (high >= t))
+        if self._keyed:
+            hit = hit[np.argsort(key[hit])]
+        else:  # stable: ties keep slot order, as tree.intervals() does
+            hit = hit[np.lexsort((high[hit], low[hit]))]
+        return [data[i] for i in hit.tolist()]

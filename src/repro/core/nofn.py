@@ -97,9 +97,10 @@ class NofNSkyline:
         engines.  See :mod:`repro.sanitize`.
     query_cache:
         When true (the default), :meth:`query` answers through a
-        :class:`~repro.accel.stab_cache.StabCache` — a versioned flat
-        snapshot of the interval set with per-stab-point memoization —
-        instead of stabbing the red-black tree per call.  Invalidation
+        :class:`~repro.accel.stab_cache.StabCache` — one vectorised
+        stab over the interval tree's write-maintained slot arrays, with
+        per-span memoization — instead of stabbing the red-black tree
+        per call.  Invalidation
         is exact (every structural write bumps the tree version), so
         answers are always identical to the uncached path.
     kernels:

@@ -12,11 +12,11 @@ Each shard worker **publishes** its stab state into
 :mod:`multiprocessing.shared_memory` after maintenance; the router
 **reads** it directly and answers n-of-N / k-skyband stabs with plain
 ``searchsorted`` arithmetic — zero IPC on the read path.  The published
-state is exactly what :class:`~repro.accel.stab_cache.StabCache`
-already materializes for the worker's local fast path (the flat sorted
-``low``/``high`` arrays of the interval encoding), plus the element
-payload table and the shard's retained in-window suffix (the k-skyband
-merge witnesses).
+state is the interval tree's write-maintained slot view compacted into
+low-sorted ``low``/``high`` arrays (the same slots the worker's
+:class:`~repro.accel.stab_cache.StabCache` stabs locally), plus the
+element payload table and the shard's retained in-window suffix (the
+k-skyband merge witnesses).
 
 **Seqlock double buffering.**  A tiny fixed-size *control block* per
 shard carries a sequence word, the active buffer index, the shard's
@@ -277,25 +277,14 @@ class _ShardState:
 def export_shard_state(engine: Any) -> _ShardState:
     """Snapshot a shard engine's stab state for publication.
 
-    Reuses the engine's :class:`~repro.accel.stab_cache.StabCache` flat
-    snapshot when a cache is attached (the rebuild is shared with the
-    worker's own query path), falling back to one interval-tree walk
-    when ``query_cache=False``.  The retained table (kappa-ascending)
-    carries the merge witnesses for the k-skyband path.
+    The low-sorted interval arrays come from the interval tree's
+    write-maintained slot view (one ``lexsort`` compaction, whether or
+    not the engine has a query cache).  The retained table
+    (kappa-ascending) carries the merge witnesses for the k-skyband
+    path.
     """
     dim = int(engine.dim)
-    cache = engine._stab_cache
-    if cache is not None:
-        lows_raw, highs_raw, records = cache.snapshot_arrays()
-    else:
-        lows_list: List[float] = []
-        highs_list: List[float] = []
-        records = []
-        for interval in engine._intervals.intervals():
-            lows_list.append(interval.low)
-            highs_list.append(interval.high)
-            records.append(interval.data)
-        lows_raw, highs_raw = lows_list, highs_list
+    lows, highs, records = engine._intervals.sorted_slots()
     elements = [record.element for record in records]
     retained = sorted(
         (record.element for _, record in engine._labels.items()),
@@ -304,8 +293,8 @@ def export_shard_state(engine: Any) -> _ShardState:
     return _ShardState(
         version=int(engine.structure_version),
         seen=int(engine.seen_so_far),
-        lows=np.asarray(lows_raw, dtype=np.float64),
-        highs=np.asarray(highs_raw, dtype=np.float64),
+        lows=lows,
+        highs=highs,
         kappas=np.asarray([e.kappa for e in elements], dtype=np.int64),
         values=np.asarray(
             [e.values for e in elements], dtype=np.float64
@@ -476,12 +465,9 @@ class ReplicaSnapshot:
         if cached is not None:
             return list(cached)
         idx = int(np.searchsorted(self._lows, t, side="left"))
-        if idx == 0:
-            hit: List[int] = []
-        else:
-            hit = np.flatnonzero(self._highs[:idx] >= t).tolist()
-        hit.sort(key=lambda i: int(self._kappas[i]))
-        out = [self._element(i) for i in hit]
+        hit = np.flatnonzero(self._highs[:idx] >= t)
+        hit = hit[np.argsort(self._kappas[hit])]
+        out = [self._element(i) for i in hit.tolist()]
         if len(self._memo) >= _MAX_MEMO:
             self._memo.clear()
         self._memo[span] = tuple(out)

@@ -52,7 +52,8 @@ The invariant catalogue (the ``invariant`` field of the report):
 ================== ====================================================
 
 plus the structure-level invariants raised by the structures themselves
-(``rbtree-*``, ``max-high-augmentation``, ``labelset-*``, ``heap-*``,
+(``rbtree-*``, ``max-high-augmentation``, ``interval-slots``,
+``labelset-*``, ``heap-*``,
 ``rtree-*`` — including ``rtree-kernel-cache``, a cached leaf kernel
 that no longer mirrors its leaf's children).
 

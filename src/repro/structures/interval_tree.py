@@ -9,9 +9,9 @@ with ``M - n + 1`` to answer an n-of-N query.
 
 This module implements the black box as a CLRS-style *augmented*
 red-black tree (built on :mod:`repro.structures.rbtree`): intervals are
-keyed by ``(low, high, seq)`` (the sequence number admits duplicate
-endpoints), and every node carries the maximum ``high`` within its
-subtree.  A stab at ``t`` descends only into subtrees whose max-high
+keyed by ``(low, high, slot)`` (the interval's slot in the flat view
+below, unique among live intervals, admits duplicate endpoints), and
+every node carries the maximum ``high`` within its subtree.  A stab at ``t`` descends only into subtrees whose max-high
 reaches ``t`` and prunes right subtrees whose lows already equal or
 exceed ``t``, giving output-sensitive ``O(min(m, k log m) + log m)``
 reporting — the same update complexity as the Edelsbrunner/Mehlhorn
@@ -20,19 +20,57 @@ structure the paper cites, and indistinguishable at reproduction scale
 
 Intervals are half-open ``(low, high]`` — exactly the shape produced by
 the paper's encoding: ``low < t <= high`` means "stabbed".
+
+Beside the red-black tree, every write also maintains a **flat slot
+view** of the same interval set, for the vectorised read path of
+:class:`repro.accel.stab_cache.StabCache`:
+
+* ``float64`` ``low``/``high`` slot arrays (plus, once a sort key is
+  attached, each interval's key), grown by doubling;
+* a payload list and a free-slot list; each handle carries its slot.
+
+:meth:`IntervalTree.insert` writes one slot and :meth:`IntervalTree.remove`
+frees it, resetting it to the unstabbable sentinel ``low = +inf``,
+``high = -inf``.  A slot write costs a fraction of a microsecond next
+to the tens of microseconds of the red-black update it rides with, and
+a reader never has to walk the tree: a stab at ``t`` is one
+``(low < t) & (high >= t)`` pass over the slots.  The red-black tree
+stays the write-side source of truth and the independent oracle for
+:meth:`IntervalTree.stab`; :meth:`IntervalTree.check_invariants`
+verifies that the slots mirror it (``interval-slots``).
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, List, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Generic,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
-from repro.exceptions import InvalidIntervalError, corruption
+import numpy as np
+
+from repro.exceptions import (
+    InvalidIntervalError,
+    StructureCorruptionError,
+    corruption,
+)
 from repro.structures.rbtree import NIL, RBNode, RedBlackTree
 
 D = TypeVar("D")
 
 #: Aggregate value used for empty subtrees; compares below every high.
 _NEG_INF = float("-inf")
+#: A freed slot's low endpoint: no stab point lies strictly above it.
+_POS_INF = float("inf")
+
+#: Slots allocated by the first insert; the slot arrays double when full.
+_INITIAL_SLOTS = 64
 
 
 class Interval(Generic[D]):
@@ -69,11 +107,12 @@ class IntervalHandle(Generic[D]):
     and the label set (paper, Figure 6).
     """
 
-    __slots__ = ("interval", "_node")
+    __slots__ = ("interval", "_node", "_slot")
 
-    def __init__(self, interval: Interval[D], node: RBNode) -> None:
+    def __init__(self, interval: Interval[D], node: RBNode, slot: int) -> None:
         self.interval = interval
         self._node = node
+        self._slot = slot
 
 
 def _augment_max_high(node: RBNode) -> None:
@@ -93,8 +132,19 @@ class IntervalTree(Generic[D]):
 
     def __init__(self) -> None:
         self._tree: RedBlackTree = RedBlackTree(augment=_augment_max_high)
-        self._seq = 0
         self._version = 0
+        # The flat slot view (module docstring).  Slots at or above
+        # ``_top`` were never used; freed slots below it hold the
+        # sentinel and sit on ``_free`` until an insert reuses them.
+        self._slot_low = np.empty(0, dtype=np.float64)
+        self._slot_high = np.empty(0, dtype=np.float64)
+        self._slot_key: Any = np.empty(0, dtype=np.int64)
+        self._slot_data: List[Any] = []  # payloads; None in freed slots
+        self._free: List[int] = []
+        self._top = 0
+        self._key: Optional[Callable[[D], Any]] = None
+        self._key_view: Optional[memoryview] = None
+        self._grow_slots(0)
 
     @property
     def version(self) -> int:
@@ -108,6 +158,60 @@ class IntervalTree(Generic[D]):
         """
         return self._version
 
+    def set_sort_key(self, key: Callable[[D], Any]) -> None:
+        """Store ``key(payload)`` per slot, now and on every insert.
+
+        The per-slot key lets a reader order stab answers with one
+        ``argsort`` instead of a Python sort.  Integer keys (the engines
+        use ``kappa``) live in an ``int64`` array; the first key of any
+        other type turns it into an object array, which NumPy orders
+        with Python comparisons.  A tree has at most one key: attaching
+        the same key again is a no-op, a different one is an error.
+        """
+        if self._key is key:
+            return
+        if self._key is not None:
+            raise ValueError("this interval tree already has a sort key")
+        free = set(self._free)
+        values = {
+            slot: key(self._slot_data[slot])
+            for slot in range(self._top)
+            if slot not in free
+        }
+        self._slot_key = np.zeros(len(self._slot_data), dtype=np.int64)
+        self._key_view = memoryview(self._slot_key)
+        for slot, value in values.items():
+            self._store_key(slot, value)
+        self._key = key
+
+    def _store_key(self, slot: int, value: Any) -> None:
+        """Write one key, turning the key array into an object array at
+        the first key that is not an ``int``."""
+        if value.__class__ is not int and self._key_view is not None:
+            self._slot_key = self._slot_key.astype(object)
+            self._key_view = None  # memoryviews cannot hold objects
+        self._slot_key[slot] = value
+
+    def _grow_slots(self, extra: int) -> None:
+        """Append ``extra`` never-used, sentinel-filled slots to the
+        arrays (the caller extends the payload list) and refresh the
+        write views."""
+        self._slot_low = np.concatenate(
+            (self._slot_low, np.full(extra, _POS_INF))
+        )
+        self._slot_high = np.concatenate(
+            (self._slot_high, np.full(extra, _NEG_INF))
+        )
+        self._slot_key = np.concatenate(
+            (self._slot_key, np.zeros(extra, self._slot_key.dtype))
+        )
+        self._low_view = memoryview(self._slot_low)
+        self._high_view = memoryview(self._slot_high)
+        self._key_view = (
+            None if self._slot_key.dtype == object
+            else memoryview(self._slot_key)
+        )
+
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
@@ -115,11 +219,30 @@ class IntervalTree(Generic[D]):
     def insert(self, low: float, high: float, data: D) -> IntervalHandle[D]:
         """Insert ``(low, high]`` with payload ``data``; return a handle."""
         interval = Interval(low, high, data)
-        key = (low, high, self._seq)
-        self._seq += 1
         self._version += 1
-        node = self._tree.insert(key, interval)
-        return IntervalHandle(interval, node)
+        if self._free:
+            slot = self._free.pop()
+        else:
+            slot = self._top
+            if slot == len(self._slot_data):
+                grow = max(slot, _INITIAL_SLOTS)
+                self._grow_slots(grow)
+                self._slot_data.extend([None] * grow)
+            self._top = slot + 1
+        node = self._tree.insert((low, high, slot), interval)
+        # Writes go through memoryviews of the arrays: half the cost of
+        # NumPy's scalar ``__setitem__``.
+        self._low_view[slot] = float(low)
+        self._high_view[slot] = float(high)
+        self._slot_data[slot] = data
+        key = self._key
+        if key is not None:
+            value = key(data)
+            if value.__class__ is int and self._key_view is not None:
+                self._key_view[slot] = value
+            else:
+                self._store_key(slot, value)
+        return IntervalHandle(interval, node, slot)
 
     def remove(self, handle: IntervalHandle[D]) -> None:
         """Remove the interval behind ``handle``.
@@ -127,9 +250,14 @@ class IntervalTree(Generic[D]):
         The handle must be live (obtained from :meth:`insert` and not
         yet removed); double removal is a programming error.
         """
+        self._version += 1
         self._tree.delete_node(handle._node)
         handle._node = NIL
-        self._version += 1
+        slot = handle._slot
+        self._low_view[slot] = _POS_INF
+        self._high_view[slot] = _NEG_INF
+        self._slot_data[slot] = None
+        self._free.append(slot)
 
     def replace(
         self, handle: IntervalHandle[D], low: float, high: float
@@ -201,16 +329,53 @@ class IntervalTree(Generic[D]):
         return bool(self._tree)
 
     def intervals(self) -> Iterator[Interval[D]]:
-        """Iterate intervals in ``(low, high, insertion)`` order."""
+        """Iterate intervals in ``(low, high, slot)`` order."""
         for _, interval in self._tree.items():
             yield interval
+
+    # ------------------------------------------------------------------
+    # The flat slot view (read-only to callers)
+    # ------------------------------------------------------------------
+
+    def slots(self) -> Tuple[Any, Any, Any, List[Any]]:
+        """The slot view as ``(low, high, key, payloads)``.
+
+        The arrays cover every slot used so far, live or freed.  A freed
+        slot holds ``low = +inf``, ``high = -inf`` and payload ``None``,
+        so ``(low < t) & (high >= t)`` over them is exactly the stab at
+        ``t``.  ``key`` holds the sort key's values when one is attached
+        (:meth:`set_sort_key`).  The arrays are views of the tree's own
+        storage: callers must not write to them, and should not keep
+        them across a write.
+        """
+        top = self._top
+        return (
+            self._slot_low[:top],
+            self._slot_high[:top],
+            self._slot_key[:top],
+            self._slot_data,
+        )
+
+    def sorted_slots(self) -> Tuple[Any, Any, List[D]]:
+        """The live intervals as fresh ``(lows, highs, payloads)``, in
+        :meth:`intervals` order — compacted from the slots by one stable
+        ``lexsort`` (ties keep slot order; freed slots sort last on
+        their ``+inf`` lows)."""
+        low, high, _, data = self.slots()
+        order = np.lexsort((high, low))[: len(self._tree)]
+        return (
+            low[order],
+            high[order],
+            [data[i] for i in order.tolist()],
+        )
 
     # ------------------------------------------------------------------
     # Validation (used by the test suite)
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify red-black properties and max-high aggregates.
+        """Verify red-black properties, max-high aggregates and the slot
+        view.
 
         Raises
         ------
@@ -219,6 +384,56 @@ class IntervalTree(Generic[D]):
         """
         self._tree.check_invariants()
         self._check_aggregate(self._tree.root)
+        self._check_slots()
+
+    def _check_slots(self) -> None:
+        """The slot view mirrors the red-black tree: each interval's slot
+        (the last part of its key) holds equal ``(low, high, payload,
+        key)``, and every other used slot is freed (sentinel, on the
+        free list once)."""
+
+        def broken(message: str) -> StructureCorruptionError:
+            return corruption("interval_tree", "interval-slots", message)
+
+        top = self._top
+        free = set(self._free)
+        if len(free) != len(self._free):
+            raise broken(f"free list {self._free!r} repeats a slot")
+        if not free <= set(range(top)):
+            raise broken(
+                f"free list {sorted(free)!r} names a slot outside [0, {top})"
+            )
+        if top - len(free) != len(self._tree):
+            raise broken(
+                f"{top - len(free)} live slots for {len(self._tree)} intervals"
+            )
+        low, high, key, data = self.slots()
+        for (_, _, slot), interval in self._tree.items():
+            if (
+                slot in free
+                or not 0 <= slot < top
+                or low[slot] != interval.low
+                or high[slot] != interval.high
+                or data[slot] is not interval.data
+                or (
+                    self._key is not None
+                    and key[slot] != self._key(interval.data)
+                )
+            ):
+                raise broken(
+                    f"interval ({interval.low}, {interval.high}] does not "
+                    f"match its slot {slot}"
+                )
+        for slot in free:
+            if not (
+                low[slot] == _POS_INF
+                and high[slot] == _NEG_INF
+                and data[slot] is None
+            ):
+                raise broken(
+                    f"freed slot {slot} holds ({low[slot]}, {high[slot]}] "
+                    f"/ {data[slot]!r}, not the sentinel"
+                )
 
     def _check_aggregate(self, node: RBNode) -> float:
         if node is NIL:

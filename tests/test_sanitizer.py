@@ -236,6 +236,70 @@ class TestNofNCorruption:
             engine.append((0.5, 0.5))
 
 
+class TestIntervalSlotCorruption:
+    """The interval tree's flat slot view must mirror its red-black
+    tree; ``sanitize="full"`` catches a hand-broken slot or free-list
+    entry on the next arrival."""
+
+    def fed(self):
+        return fed_nofn(sanitize="full")
+
+    @staticmethod
+    def youngest_slot(engine):
+        # A dominated, unexpired newcomer leaves the youngest record's
+        # interval (and so its slot) alone.
+        return engine._records[max(engine._records)].handle._slot
+
+    @staticmethod
+    def next_arrival_invariant(engine):
+        with pytest.raises(StructureCorruptionError) as excinfo:
+            engine.append((10.0, 10.0))  # dominated by every point
+        return invariant_of(excinfo)
+
+    def test_broken_slot_endpoint(self):
+        engine = self.fed()
+        engine._intervals._slot_high[self.youngest_slot(engine)] += 0.5
+        assert self.next_arrival_invariant(engine) == "interval-slots"
+
+    def test_broken_slot_payload(self):
+        engine = self.fed()
+        tree = engine._intervals
+        slot = self.youngest_slot(engine)
+        other = next(
+            s for s in range(len(tree.slots()[0]))
+            if s != slot and tree._slot_data[s] is not None
+        )
+        tree._slot_data[slot] = tree._slot_data[other]
+        assert self.next_arrival_invariant(engine) == "interval-slots"
+
+    def test_stabbable_freed_slot(self):
+        engine = self.fed()
+        tree = engine._intervals
+        # A freed slot that lost its sentinel would be reported by
+        # every cached stab it covers.
+        slot = tree._free[0]
+        tree._slot_low[slot] = -1.0
+        tree._slot_high[slot] = 1e9
+        assert self.next_arrival_invariant(engine) == "interval-slots"
+
+    def test_broken_free_list_entry(self):
+        engine = self.fed()
+        tree = engine._intervals
+        assert tree._free, "the fed window must have freed some slots"
+        # A live slot takes a freed one's place on the free list: the
+        # counts still agree, but the freed slot is now unaccounted for.
+        tree._free[0] = self.youngest_slot(engine)
+        assert self.next_arrival_invariant(engine) == "interval-slots"
+
+    def test_repeated_free_list_entry(self):
+        engine = self.fed()
+        tree = engine._intervals
+        tree._free.append(tree._free[0])
+        with pytest.raises(StructureCorruptionError) as excinfo:
+            engine.check_invariants()
+        assert invariant_of(excinfo) == "interval-slots"
+
+
 class TestTimeWindowCorruption:
     def test_label_clock_tamper(self):
         engine = TimeWindowSkyline(2, horizon=50.0)

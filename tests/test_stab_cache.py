@@ -1,7 +1,7 @@
 """Tests for the versioned stab cache (the query fast path).
 
 Covers the cache in isolation (memoization, versioned invalidation,
-the pure-Python fallback) and through the engines: the property test
+answer order) and through the engines: the property test
 required by the issue interleaves ``append`` / ``append_many`` /
 expiry and checks every cached answer against the independent
 ``query_scan`` implementation, and that version bumps track interval
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.accel.stab_cache as stab_cache_module
 from repro.accel import DEFAULT_MAX_MEMO, StabCache
 from repro.core.continuous import ContinuousQueryManager
 from repro.core.n1n2 import N1N2Skyline
@@ -135,18 +134,6 @@ class TestStabCacheUnit:
         cache = StabCache(IntervalTree())
         assert cache.stab(1) == []
         assert cache.stats()["snapshot_size"] == 0
-
-    def test_pure_python_fallback_matches(self, monkeypatch):
-        tree = IntervalTree()
-        spans = [(0, 3), (0, 4), (3, 7), (4, 5), (4, 6), (2, 9)]
-        for i, (lo, hi) in enumerate(spans):
-            tree.insert(lo, hi, i)
-        monkeypatch.setattr(stab_cache_module, "_np", None)
-        cache = StabCache(tree)
-        for t in range(0, 11):
-            assert sorted(cache.stab(t)) == sorted(tree.stab(t))
-        tree.insert(5, 12, 99)
-        assert sorted(cache.stab(6)) == sorted(tree.stab(6))
 
 
 point2 = st.tuples(st.integers(0, 8), st.integers(0, 8))

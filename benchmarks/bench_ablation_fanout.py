@@ -1,14 +1,16 @@
 """Ablation — R-tree fan-out.
 
-The engines default to ``max_entries = 12`` per R-tree node.  Fan-out
-trades per-node scan width against tree depth (and split/condense
-frequency); this sweep measures steady-state maintenance cost across
-fan-outs on the workload where the R-tree matters most
-(anti-correlated data, where ``|R_N|`` is largest).
+The engines default to ``rtree_max_entries = 12``; the dominance index
+derives its block capacity from it (``max(32, 4 * max_entries)`` rows
+per block), so fan-outs up to 8 share the 32-row floor.  Block size
+trades per-block scan width against the number of block summaries each
+search tests; this sweep measures steady-state maintenance cost across
+fan-outs on the workload where the index matters most (anti-correlated
+data, where ``|R_N|`` is largest).
 
-Expected shape: a shallow bowl — tiny fan-outs pay for deep trees and
-frequent splits, huge fan-outs degenerate toward linear node scans —
-with a broad optimum; the default sits inside it.
+Expected shape: a shallow bowl — small blocks pay for many summaries
+and frequent splits, huge blocks degenerate toward linear scans — with
+a broad optimum; the default sits inside it.
 """
 
 from __future__ import annotations
@@ -75,48 +77,6 @@ def test_ablation_fanout_sweep(report, benchmark):
         baseline = results[(dim, 12)].avg_seconds
         for fanout in FANOUTS:
             assert results[(dim, fanout)].avg_seconds < baseline * 10 + 1e-6
-
-
-def test_ablation_split_policy(report, benchmark):
-    """Quadratic vs R* split on the anti-correlated maintenance load."""
-    capacity = scaled(1500)
-    results = {}
-
-    def run_figure():
-        for dim in DIMS:
-            for policy in ("quadratic", "rstar"):
-                points = stream_points(
-                    "anticorrelated", dim, 2 * capacity, seed=83
-                )
-                engine = NofNSkyline(dim, capacity, rtree_split=policy)
-                results[(dim, policy)] = feed_timed(
-                    engine, points, warmup=capacity
-                )
-
-    benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    report(
-        "ablation_split",
-        render_series(
-            f"Ablation — R-tree split policy (anti-correlated, N={capacity})",
-            "dim",
-            list(DIMS),
-            [
-                (
-                    f"{policy} avg",
-                    [
-                        format_seconds(results[(d, policy)].avg_seconds)
-                        for d in DIMS
-                    ],
-                )
-                for policy in ("quadratic", "rstar")
-            ],
-        ),
-    )
-    # Neither policy should be pathologically worse than the other.
-    for dim in DIMS:
-        quad = results[(dim, "quadratic")].avg_seconds
-        rstar = results[(dim, "rstar")].avg_seconds
-        assert rstar < quad * 5 + 1e-6 and quad < rstar * 5 + 1e-6
 
 
 @pytest.mark.parametrize("fanout", (4, 12, 48))

@@ -23,7 +23,6 @@ themselves survive ``-O``.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
@@ -37,7 +36,6 @@ from repro import (
 from repro.core.element import StreamElement
 from repro.exceptions import ShardFailureError, StructureCorruptionError
 from repro.parallel import ShardedKSkyband, ShardedNofNSkyline
-from repro.structures.rtree_soa import LAYOUT_ENV, RTREE_LAYOUTS
 
 
 def check(condition: bool, message: str) -> None:
@@ -316,17 +314,7 @@ def main() -> int:
              "process backend also proves the shared-memory replica "
              "read path answered queries (default both)",
     )
-    parser.add_argument(
-        "--rtree-layout", default="auto", choices=list(RTREE_LAYOUTS),
-        help="pin the R-tree layout for every engine in the pass "
-             "(set via the REPRO_RTREE_LAYOUT resolution env, so it "
-             "also reaches the sharded workers); default auto",
-    )
     args = parser.parse_args()
-    if args.rtree_layout != "auto":
-        # The env override reaches every "auto"-constructed engine in
-        # this pass, including shard workers built from picklable specs.
-        os.environ[LAYOUT_ENV] = args.rtree_layout
     chunk_grid = (None, 1, 7) if args.batch else (None,)
     for chunk in chunk_grid:
         smoke_nofn(args.sanitize, chunk)
@@ -355,7 +343,7 @@ def main() -> int:
     continuous = ", continuous-index" if args.continuous else ""
     print(f"smoke_optimized: all engines OK "
           f"[{mode}, sanitize={args.sanitize}{sharded}{batch}"
-          f"{continuous}, rtree-layout={args.rtree_layout}]")
+          f"{continuous}]")
     return 0
 
 

@@ -2,16 +2,18 @@
 
 The paper cites BBS ([23]) as the progressive skyline algorithm with
 guaranteed-minimal I/O on R-tree-indexed data.  This implementation
-runs it over this library's own in-memory
-:class:`~repro.structures.rtree.RTree`:
+runs it over this library's own dominance index,
+:class:`~repro.structures.rtree_soa.SoARTree`, whose single level of
+blocks plays the role of the R-tree's nodes:
 
-1. seed a min-heap with the root, keyed by *mindist* — the L1 distance
-   of a box's lower corner (or a point) from the origin;
+1. seed a min-heap with every non-empty block, keyed by *mindist* — the
+   L1 distance of the block's lower corner (or a point) from the
+   origin;
 2. repeatedly pop the least entry; discard it if its lower corner is
    weakly dominated by a point already in the skyline; otherwise expand
-   nodes into the heap, and emit points — the mindist order guarantees
-   every dominator of a point is popped first, so emitted points are
-   final.
+   blocks into their points, and emit points — the mindist order
+   guarantees every dominator of a point is popped first, so emitted
+   points are final.
 
 The progressive variant yields skyline points one at a time in mindist
 order, exactly the behaviour BBS is valued for; ``bbs_skyline`` wraps
@@ -25,7 +27,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.core.dominance import weakly_dominates
 from repro.structures.heap import IndexedHeap
-from repro.structures.rtree import RTree, RTreeEntry
+from repro.structures.rtree_soa import SoAEntry, SoARTree
 
 Point = Tuple[float, ...]
 
@@ -68,17 +70,17 @@ def bbs_progressive(
     if not pts:
         return
     dim = len(pts[0])
-    tree = RTree(dim, max_entries=max_entries, min_entries=min_entries)
+    tree = SoARTree(dim, max_entries=max_entries, min_entries=min_entries)
     for i, point in enumerate(pts):
         tree.insert(point, kappa=i + 1)
 
     heap: IndexedHeap[int] = IndexedHeap()
-    frontier: Dict[int, Union[RTreeEntry, object]] = {}
+    frontier: Dict[int, Tuple[Union[SoAEntry, List[SoAEntry]], Point]] = {}
     counter = 0
 
-    def push(item: Union[RTreeEntry, object], corner: Point) -> None:
+    def push(item: Union[SoAEntry, List[SoAEntry]], corner: Point) -> None:
         nonlocal counter
-        frontier[counter] = item
+        frontier[counter] = (item, corner)
         # The corner tie-break matters for correctness, not just
         # determinism: float addition is monotone under componentwise <=
         # but can round two *different* corners to the same sum (e.g. a
@@ -88,30 +90,22 @@ def bbs_progressive(
         heap.push(counter, (sum(corner), corner, counter))
         counter += 1
 
-    root = tree._root
-    if root.mbr is not None:
-        push(root, root.mbr.lower)
+    for corner, block in tree.blocks():
+        push(block, corner)
 
     skyline: List[Point] = []
     while heap:
         key, _ = heap.pop()
-        item = frontier.pop(key)
-        if isinstance(item, RTreeEntry):
-            if _dominated(item.point, skyline):
-                continue
+        item, corner = frontier.pop(key)
+        if _dominated(corner, skyline):
+            continue
+        if isinstance(item, SoAEntry):
             skyline.append(item.point)
             yield item.point
             continue
-        if item.mbr is None or _dominated(item.mbr.lower, skyline):
-            continue
-        if item.is_leaf:
-            for entry in item.children:
-                if not _dominated(entry.point, skyline):
-                    push(entry, entry.point)
-        else:
-            for child in item.children:
-                if not _dominated(child.mbr.lower, skyline):
-                    push(child, child.mbr.lower)
+        for entry in item:
+            if not _dominated(entry.point, skyline):
+                push(entry, entry.point)
 
 
 def _dominated(corner: Sequence[float], skyline: List[Point]) -> bool:

@@ -11,6 +11,8 @@ import os
 import platform
 from typing import Dict, List, Sequence
 
+import numpy
+
 
 def machine_fingerprint(**extra: object) -> Dict[str, str]:
     """Identity of the measuring machine, for benchmark snapshots.
@@ -20,15 +22,10 @@ def machine_fingerprint(**extra: object) -> Dict[str, str]:
     (e.g. ``shards=...``, ``backends=...``) are stringified into the
     fingerprint so configuration rides along with machine identity.
     """
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = "absent"
     info = {
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "cpu_count": str(os.cpu_count() or 0),
     }
     info.update({key: str(value) for key, value in extra.items()})

@@ -36,7 +36,7 @@ at most once, keeping updates amortised ``O(log N)``.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.accel.batch_prefilter import (
     BatchPrefilter,
@@ -53,7 +53,7 @@ from repro.exceptions import (
 )
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
 from repro.structures.interval_tree import IntervalHandle, IntervalTree
-from repro.structures.rtree_soa import SoARTree, make_rtree
+from repro.structures.rtree_soa import SoARTree
 
 
 class _WindowRecord:
@@ -92,7 +92,7 @@ class N1N2Skyline:
         Runtime invariant checking: ``"off"`` (default), ``"sampled"``,
         ``"full"``, or a shared
         :class:`~repro.sanitize.InvariantSanitizer`.
-    query_cache / kernels / rtree_layout / batch_chunk:
+    query_cache / batch_chunk:
         Query and batched-ingest knobs (see
         :class:`~repro.core.nofn.NofNSkyline`).  Each interval tree
         (``I_RN`` and ``I_RN-``) gets its own versioned stab cache; the
@@ -112,11 +112,8 @@ class N1N2Skyline:
         capacity: int,
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
-        rtree_split: str = "quadratic",
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
-        kernels: str = "auto",
-        rtree_layout: str = "auto",
         batch_chunk: Optional[int] = None,
     ) -> None:
         if capacity < 1:
@@ -131,16 +128,9 @@ class N1N2Skyline:
         self._records: Dict[int, _WindowRecord] = {}
         self._live = IntervalTree()  # I_RN   (b = infinity)
         self._superseded = IntervalTree()  # I_RN- (finite b)
-        self._rtree = make_rtree(
-            dim,
-            max_entries=rtree_max_entries,
-            min_entries=rtree_min_entries,
-            split=rtree_split,
-            kernels=kernels,
-            layout=rtree_layout,
+        self._rtree = SoARTree(
+            dim, max_entries=rtree_max_entries, min_entries=rtree_min_entries
         )
-        self._kernel_policy = kernels
-        self._rtree_layout = rtree_layout
         self._live_cache: Optional[StabCache[_WindowRecord]] = (
             StabCache(self._live) if query_cache else None
         )
@@ -250,103 +240,11 @@ class N1N2Skyline:
     def _arrive_chunk(
         self, elements: List[StreamElement], lo: int, hi: int
     ) -> int:
-        """Ingest ``elements[lo:hi]``, dispatching to the frozen-tree
-        pipeline when the R-tree supports bulk maintenance."""
-        if isinstance(self._rtree, SoARTree):
-            return self._arrive_chunk_soa(elements, lo, hi)
-        return self._arrive_chunk_fallback(elements, lo, hi)
-
-    def _arrive_chunk_fallback(
-        self, elements: List[StreamElement], lo: int, hi: int
-    ) -> int:
         """Ingest ``elements[lo:hi]`` (at most ``capacity`` of them, so
         no chunk member can expire before its in-chunk dominator
         arrives).
 
-        ``alive_doomed`` tracks prefilter casualties whose killer has
-        not arrived yet: logically still in ``R_N`` (they count towards
-        ``rn_size``, are candidate critical ancestors, and are reported
-        as demotions at their killer's arrival) but physically already
-        installed as superseded records.
-        """
-        chunk = elements[lo:hi]
-        pre = BatchPrefilter([e.values for e in chunk], k=1)
-        base_kappa = chunk[0].kappa
-        alive_doomed: Dict[int, _WindowRecord] = {}
-        for i, element in enumerate(chunk):
-            kappa = element.kappa
-            self._m = kappa
-
-            expired = 0
-            leaving = kappa - self.capacity
-            if leaving >= 1:
-                self._expire(self._records[leaving])
-                expired = 1
-
-            demoted = 0
-            for entry in self._rtree.remove_dominated(element.values):
-                self._demote(entry.data, b_kappa=kappa)
-                demoted += 1
-            for h in pre.killed_at(i):
-                if alive_doomed.pop(base_kappa + h, None) is not None:
-                    demoted += 1
-
-            record = _WindowRecord(element)
-            parent_entry = self._rtree.max_kappa_dominator(element.values)
-            parent = None if parent_entry is None else parent_entry.data
-            if pre.is_doomed(i):
-                # The critical ancestor may be a still-alive doomed batch
-                # member missing from the R-tree; merge the candidates.
-                # (A surviving member cannot have an alive doomed
-                # ancestor: its ancestor's killer would dominate it too.)
-                for h in pre.older_weak_dominators(i):
-                    candidate = alive_doomed.get(base_kappa + h)
-                    if candidate is not None:
-                        if (
-                            parent is None
-                            or candidate.element.kappa > parent.element.kappa
-                        ):
-                            parent = candidate
-                        break
-                    if pre.kill[h] < 0:
-                        break  # a survivor: the R-tree search covered it
-                    # else: demoted or expired already — keep walking
-                if parent is not None:
-                    record.a_kappa = parent.element.kappa
-                    parent.dependents.add(kappa)
-                record.b_kappa = base_kappa + pre.kill[i]
-                record.in_rn = False
-                record.handle = self._superseded.insert(
-                    float(record.a_kappa), float(kappa), record
-                )
-                alive_doomed[kappa] = record
-            else:
-                if parent is not None:
-                    record.a_kappa = parent.element.kappa
-                    parent.dependents.add(kappa)
-                record.handle = self._live.insert(
-                    float(record.a_kappa), float(kappa), record
-                )
-                self._rtree.insert(element.values, kappa, record)
-            self._records[kappa] = record
-
-            self.stats.record_arrival(
-                expired=expired,
-                dominated=demoted,
-                rn_size=len(self._rtree) + len(alive_doomed),
-            )
-        if alive_doomed:
-            raise StructureCorruptionError(
-                f"{len(alive_doomed)} doomed batch members survived their chunk"
-            )
-        return pre.dropped
-
-    def _arrive_chunk_soa(
-        self, elements: List[StreamElement], lo: int, hi: int
-    ) -> int:
-        """Frozen-tree variant of :meth:`_arrive_chunk_fallback`.
-
-        All R-tree mutations the chunk causes are deferred: demotions
+        All dominance-index mutations the chunk causes are deferred: demotions
         and expiries accumulate into one bulk
         :meth:`~repro.structures.rtree_soa.SoARTree.delete_many` and the
         chunk's surviving members land with one
@@ -361,13 +259,18 @@ class N1N2Skyline:
         intra-chunk prefilter stream is merged in first — chunk kappas
         outrank every indexed kappa, making the first logically-alive
         intra candidate automatically the youngest.
+
+        ``alive_doomed`` tracks prefilter casualties whose killer has
+        not arrived yet: logically still in ``R_N`` (they count towards
+        ``rn_size``, are candidate critical ancestors, and are reported
+        as demotions at their killer's arrival) but physically already
+        installed as superseded records.
         """
         chunk = elements[lo:hi]
         points = [e.values for e in chunk]
         pre = BatchPrefilter(points, k=1)
         base_kappa = chunk[0].kappa
-        # The dispatcher only routes here for the SoA layout.
-        rtree = cast(SoARTree, self._rtree)
+        rtree = self._rtree
         victims0 = rtree.report_dominated_batch(points)
         parents0 = rtree.max_kappa_dominator_batch(points)
 
@@ -505,8 +408,9 @@ class N1N2Skyline:
     def _demote(self, record: _WindowRecord, b_kappa: int) -> None:
         """Move a newly-dominated element from ``I_RN`` to ``I_RN-``.
 
-        Its R-tree entry has already been removed by
-        :meth:`RTree.remove_dominated`; its interval keeps the same
+        The caller removes its index entry (per element through
+        :meth:`SoARTree.remove_dominated`, per chunk through a deferred
+        :meth:`SoARTree.delete_many`); its interval keeps the same
         endpoints, but now carries a finite backward ancestor.
         """
         self._live.remove(record.handle)
@@ -636,18 +540,6 @@ class N1N2Skyline:
         """Monotonic version of the interval encoding: the sum of both
         trees' versions (every demotion, expiry or arrival bumps it)."""
         return self._live.version + self._superseded.version
-
-    @property
-    def kernel_policy(self) -> str:
-        """The ``kernels`` knob this engine was built with."""
-        return self._kernel_policy
-
-    @property
-    def rtree_layout(self) -> str:
-        """The ``rtree_layout`` knob this engine was built with (the
-        requested policy; the effective layout is
-        ``engine._rtree.layout``)."""
-        return self._rtree_layout
 
     @property
     def batch_chunk(self) -> int:

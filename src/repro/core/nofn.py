@@ -34,7 +34,7 @@ in section 6).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.accel.batch_prefilter import (
     BatchPrefilter,
@@ -53,7 +53,7 @@ from repro.exceptions import (
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
 from repro.structures.interval_tree import IntervalHandle, IntervalTree
 from repro.structures.labelset import LabelSet
-from repro.structures.rtree_soa import SoARTree, make_rtree
+from repro.structures.rtree_soa import SoARTree
 
 
 class _Record:
@@ -89,7 +89,9 @@ class NofNSkyline:
     capacity:
         ``N`` — the window size.  Queries may use any ``n <= N``.
     rtree_max_entries / rtree_min_entries:
-        Fan-out bounds of the internal R-tree.
+        Fan-out bounds of the dominance index
+        (:class:`~repro.structures.rtree_soa.SoARTree`); the block
+        capacity is derived from ``rtree_max_entries``.
     sanitize:
         Runtime invariant checking: ``"off"`` (default), ``"sampled"``,
         ``"full"``, or a ready-made
@@ -103,17 +105,6 @@ class NofNSkyline:
         per call.  Invalidation
         is exact (every structural write bumps the tree version), so
         answers are always identical to the uncached path.
-    kernels:
-        Vectorised R-tree leaf-search policy (``"auto"``/``"on"``/
-        ``"off"``), forwarded to :class:`~repro.structures.rtree.RTree`
-        (only meaningful for the pointer layout; the SoA layout is
-        always vectorised).
-    rtree_layout:
-        Dominance-index layout: ``"auto"`` (struct-of-arrays when NumPy
-        is importable, honouring the ``REPRO_RTREE_LAYOUT`` environment
-        override — the default), ``"soa"`` or ``"pointer"``.  See
-        :mod:`repro.structures.rtree_soa`; both layouts answer every
-        search identically (property-tested).
     batch_chunk:
         Slice size of the :meth:`append_many` pipeline (``None`` — the
         default — means :data:`repro.accel.batch_prefilter.CHUNK`).
@@ -135,11 +126,8 @@ class NofNSkyline:
         capacity: int,
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
-        rtree_split: str = "quadratic",
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
-        kernels: str = "auto",
-        rtree_layout: str = "auto",
         batch_chunk: Optional[int] = None,
     ) -> None:
         if capacity < 1:
@@ -154,16 +142,9 @@ class NofNSkyline:
         self._records: Dict[int, _Record] = {}
         self._labels: LabelSet[_Record] = LabelSet()
         self._intervals: IntervalTree[_Record] = IntervalTree()
-        self._rtree = make_rtree(
-            dim,
-            max_entries=rtree_max_entries,
-            min_entries=rtree_min_entries,
-            split=rtree_split,
-            kernels=kernels,
-            layout=rtree_layout,
+        self._rtree = SoARTree(
+            dim, max_entries=rtree_max_entries, min_entries=rtree_min_entries
         )
-        self._kernel_policy = kernels
-        self._rtree_layout = rtree_layout
         # Memoized answers come back pre-sorted in query order, so the
         # cached query path never re-sorts.
         self._stab_cache: Optional[StabCache[_Record]] = (
@@ -325,24 +306,6 @@ class NofNSkyline:
         )
         return batch
 
-    def _arrive_chunk(
-        self,
-        elements: List[StreamElement],
-        labels: List[float],
-        lo: int,
-        hi: int,
-        outcomes: List[ArrivalOutcome],
-    ) -> int:
-        """Ingest ``elements[lo:hi]``, appending one outcome per element.
-
-        Dispatches to the fully batched pipeline when the dominance
-        index is the SoA layout (batch searches + deferred bulk
-        mutation); the pointer layout keeps the per-element loop.
-        """
-        if isinstance(self._rtree, SoARTree):
-            return self._arrive_chunk_soa(elements, labels, lo, hi, outcomes)
-        return self._arrive_chunk_fallback(elements, labels, lo, hi, outcomes)
-
     def _chunk_expiry_gate(
         self, labels: List[float], lo: int, hi: int
     ) -> bool:
@@ -380,7 +343,7 @@ class NofNSkyline:
                 break
         return expired
 
-    def _arrive_chunk_fallback(
+    def _arrive_chunk(
         self,
         elements: List[StreamElement],
         labels: List[float],
@@ -388,115 +351,9 @@ class NofNSkyline:
         hi: int,
         outcomes: List[ArrivalOutcome],
     ) -> int:
-        """Per-element chunk ingestion (pointer-layout dominance index).
+        """Ingest ``elements[lo:hi]``, appending one outcome per element.
 
-        Doomed members (those the prefilter proved dominated by a
-        younger same-chunk member) are parked in ``pending`` — logically
-        part of ``R_N``, but never inserted into the index structures —
-        until their killer arrives or they expire.  Correctness of the
-        shortcut rests on weak dominance being transitive: a pending
-        member can never be the critical parent of a surviving member
-        (its killer would doom the survivor too), so survivors resolve
-        parents from the R-tree alone, while pending members merge the
-        R-tree candidate with the youngest *alive* pending dominator.
-        """
-        chunk = elements[lo:hi]
-        pre = BatchPrefilter([e.values for e in chunk], k=1)
-        may_expire = self._chunk_expiry_gate(labels, lo, hi)
-        pending: Dict[int, _Record] = {}
-        for i, element in enumerate(chunk):
-            label = labels[lo + i]
-            self._m = element.kappa
-            self._note_arrival(label)
-
-            expired: List[ExpiredRecord] = []
-            if may_expire:
-                expired = self._expire_step(
-                    self._window_start(label), pending
-                )
-
-            dominated: List[StreamElement] = []
-            for entry in self._rtree.remove_dominated(element.values):
-                tree_record: _Record = entry.data
-                self._detach(tree_record)
-                dominated.append(tree_record.element)
-            for h in pre.killed_at(i):
-                doomed = pending.pop(chunk[h].kappa, None)
-                if doomed is None:
-                    continue  # already expired
-                parent = self._records.get(doomed.parent_kappa)
-                if parent is None:
-                    parent = pending.get(doomed.parent_kappa)
-                if parent is not None:
-                    parent.children.discard(doomed.element.kappa)
-                dominated.append(doomed.element)
-
-            record = _Record(element, label)
-            parent_entry = self._rtree.max_kappa_dominator(element.values)
-            if pre.is_doomed(i):
-                best = None if parent_entry is None else parent_entry.data
-                for h in pre.older_weak_dominators(i):
-                    candidate = pending.get(chunk[h].kappa)
-                    if candidate is not None:
-                        if (
-                            best is None
-                            or candidate.element.kappa > best.element.kappa
-                        ):
-                            best = candidate
-                        break
-                    if chunk[h].kappa in self._records:
-                        break  # a survivor: the R-tree search covered it
-                    # else: killed or expired already — keep walking
-                if best is not None:
-                    record.parent_kappa = best.element.kappa
-                    best.children.add(element.kappa)
-                pending[element.kappa] = record
-            else:
-                if parent_entry is None:
-                    low = 0.0
-                else:
-                    parent = parent_entry.data
-                    record.parent_kappa = parent.element.kappa
-                    parent.children.add(element.kappa)
-                    low = parent.label
-                record.handle = self._intervals.insert(low, label, record)
-                record.entry = self._rtree.insert(
-                    element.values, element.kappa, record
-                )
-                self._labels.append(label, record)
-                self._records[element.kappa] = record
-
-            self.stats.record_arrival(
-                expired=len(expired),
-                dominated=len(dominated),
-                rn_size=len(self._records) + len(pending),
-            )
-            outcomes.append(
-                ArrivalOutcome(
-                    element=element,
-                    seen_so_far=element.kappa,
-                    dominated_removed=tuple(dominated),
-                    parent_kappa=record.parent_kappa,
-                    expired=tuple(expired),
-                )
-            )
-        if pending:
-            raise StructureCorruptionError(
-                f"{len(pending)} doomed batch members survived their chunk"
-            )
-        return pre.dropped
-
-    def _arrive_chunk_soa(
-        self,
-        elements: List[StreamElement],
-        labels: List[float],
-        lo: int,
-        hi: int,
-        outcomes: List[ArrivalOutcome],
-    ) -> int:
-        """Fully batched chunk ingestion over the SoA dominance index.
-
-        The index is *frozen* for the duration of the chunk: both
+        The dominance index is *frozen* for the duration of the chunk: both
         chunk-wide searches (:meth:`SoARTree.report_dominated_batch`,
         :meth:`SoARTree.max_kappa_dominator_batch`) run once up front
         against the chunk-start state, every per-arrival mutation is
@@ -521,8 +378,7 @@ class NofNSkyline:
         points = [e.values for e in chunk]
         pre = BatchPrefilter(points, k=1)
         may_expire = self._chunk_expiry_gate(labels, lo, hi)
-        # The dispatcher only routes here for the SoA layout.
-        rtree = cast(SoARTree, self._rtree)
+        rtree = self._rtree
         victims0 = rtree.report_dominated_batch(points)
         parents0 = rtree.max_kappa_dominator_batch(points)
         deferred_deletes: List[int] = []
@@ -713,8 +569,8 @@ class NofNSkyline:
     def _detach(self, record: _Record) -> None:
         """Remove a dominated element's interval, label and parent link.
 
-        The R-tree entry has already been removed by
-        :meth:`RTree.remove_dominated`.
+        The caller removes the index entry: :meth:`SoARTree.remove_dominated`
+        per element, or a deferred :meth:`SoARTree.delete_many` per chunk.
         """
         self._intervals.remove(record.handle)
         record.handle = None
@@ -826,18 +682,6 @@ class NofNSkyline:
     def stab_cache(self) -> Optional[StabCache[_Record]]:
         """The query cache, or ``None`` when ``query_cache=False``."""
         return self._stab_cache
-
-    @property
-    def kernel_policy(self) -> str:
-        """The ``kernels`` knob this engine was built with."""
-        return self._kernel_policy
-
-    @property
-    def rtree_layout(self) -> str:
-        """The ``rtree_layout`` knob this engine was built with (the
-        requested policy; the effective layout is
-        ``engine._rtree.layout``)."""
-        return self._rtree_layout
 
     @property
     def batch_chunk(self) -> int:

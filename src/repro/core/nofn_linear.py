@@ -35,10 +35,12 @@ from repro.sanitize.sanitizer import SanitizeArg
 class _ScanIndex:
     """A drop-in replacement for the engine's R-tree: a flat dict.
 
-    Implements exactly the :class:`repro.structures.rtree.RTree`
+    Implements exactly the :class:`repro.structures.rtree_soa.SoARTree`
     surface the engine uses (``insert``, ``delete``,
-    ``remove_dominated``, ``max_kappa_dominator``, ``__len__``) with
-    linear scans.
+    ``remove_dominated``, ``max_kappa_dominator``, their chunk-wide
+    ``*_many`` / ``*_batch`` forms, ``__len__``) with linear scans.
+    Entries are kept in arrival order, so every scan reports in
+    ascending kappa.
     """
 
     class _Entry:
@@ -93,6 +95,38 @@ class _ScanIndex:
                     best = entry
         return best
 
+    def report_dominated_batch(
+        self, points: Sequence[Sequence[float]]
+    ) -> List[List["_ScanIndex._Entry"]]:
+        """Each entry goes to the bucket of the earliest probe that
+        weakly dominates it (non-destructive)."""
+        buckets: List[List[_ScanIndex._Entry]] = [[] for _ in points]
+        for entry in self._entries.values():
+            for pos, q in enumerate(points):
+                if weakly_dominates(q, entry.point):
+                    buckets[pos].append(entry)
+                    break
+        return buckets
+
+    def max_kappa_dominator_batch(
+        self, points: Sequence[Sequence[float]]
+    ) -> List[Optional["_ScanIndex._Entry"]]:
+        return [self.max_kappa_dominator(q) for q in points]
+
+    def delete_many(self, kappas: Sequence[int]) -> List["_ScanIndex._Entry"]:
+        return [self.delete(kappa) for kappa in kappas]
+
+    def insert_many(
+        self,
+        points: Sequence[Sequence[float]],
+        kappas: Sequence[int],
+        datas: Sequence[object],
+    ) -> List["_ScanIndex._Entry"]:
+        return [
+            self.insert(point, kappa, data)
+            for point, kappa, data in zip(points, kappas, datas)
+        ]
+
     def check_invariants(self) -> None:
         for kappa, entry in self._entries.items():
             if entry.kappa != kappa:
@@ -121,8 +155,8 @@ class LinearScanNofNSkyline(NofNSkyline):
         **_ignored: object,
     ) -> None:
         # The stab cache lives on the interval tree, so it applies to
-        # this variant unchanged; R-tree tuning (including the leaf
-        # kernels) does not, and is absorbed by ``_ignored``.
+        # this variant unchanged; R-tree tuning does not, and is
+        # absorbed by ``_ignored``.
         super().__init__(dim, capacity, sanitize=sanitize, query_cache=query_cache)
         # Swap the spatial index for the flat scan structure.
         self._rtree = _ScanIndex(dim)  # type: ignore[assignment]

@@ -117,13 +117,8 @@ def _snapshot_sharded(
         "rtree": {
             "max_entries": router._rtree_config["rtree_max_entries"],
             "min_entries": router._rtree_config["rtree_min_entries"],
-            "split": router._rtree_config["rtree_split"],
-            "layout": router._rtree_config["rtree_layout"],
         },
-        "query": {
-            "cache": router._query_cache,
-            "kernels": router.kernel_policy,
-        },
+        "query": {"cache": router._query_cache},
         "batch_chunk": router.batch_chunk,
         "replicas": {
             "mode": router.replica_mode,
@@ -169,31 +164,24 @@ def _snapshot_nofn(engine: NofNSkyline) -> Dict[str, Any]:
 
 def _rtree_config(engine: Union[NofNSkyline, N1N2Skyline]) -> Dict[str, Any]:
     """The engine's R-tree tuning, so :func:`restore` rebuilds the index
-    with the fan-out and split policy the operator chose rather than the
-    defaults.  Engines whose index is not an R-tree (the linear-scan
-    ablation) report the defaults — tuning does not apply to them."""
+    with the fan-out the operator chose rather than the defaults.
+    Engines whose index is not an R-tree (the linear-scan ablation)
+    report the defaults — tuning does not apply to them."""
     index = engine._rtree
     return {
         "max_entries": int(getattr(index, "max_entries", 12)),
         "min_entries": int(getattr(index, "min_entries", 4)),
-        "split": str(getattr(index, "split_policy", "quadratic")),
-        "layout": str(getattr(index, "layout_policy", "auto")),
     }
 
 
 def _query_config(engine: Union[NofNSkyline, N1N2Skyline]) -> Dict[str, Any]:
     """The engine's query fast-path knobs, so :func:`restore` rebuilds
-    with the caching/kernel choices the operator made.  The kernel
-    policy is read off the spatial index; engines whose index is not an
-    R-tree (the linear-scan ablation) report the default."""
+    with the caching choice the operator made."""
     if isinstance(engine, N1N2Skyline):
         cache = engine._live_cache is not None
     else:
         cache = engine._stab_cache is not None
-    return {
-        "cache": cache,
-        "kernels": str(getattr(engine._rtree, "kernel_policy", "auto")),
-    }
+    return {"cache": cache}
 
 
 def _snapshot_n1n2(engine: N1N2Skyline) -> Dict[str, Any]:
@@ -417,17 +405,16 @@ def _rtree_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
     """R-tree tuning kwargs from a snapshot.
 
     Snapshots written before the tuning was recorded lack the "rtree"
-    key; they restore with the defaults, as they always did.
+    key; they restore with the defaults, as they always did.  Older
+    snapshots also carry ``split`` and ``layout`` (a split policy and a
+    choice between two index layouts the library no longer has); they
+    are accepted and ignored.
     """
     raw = snap.get("rtree", {})
     _require(isinstance(raw, dict), '"rtree" must be a dict when present')
     return {
         "rtree_max_entries": int(raw.get("max_entries", 12)),
         "rtree_min_entries": int(raw.get("min_entries", 4)),
-        "rtree_split": str(raw.get("split", "quadratic")),
-        # Pre-SoA snapshots lack the key and restore with "auto", which
-        # resolves the same way a fresh construction would.
-        "rtree_layout": str(raw.get("layout", "auto")),
     }
 
 
@@ -445,14 +432,13 @@ def _query_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
     """Query fast-path kwargs from a snapshot.
 
     Snapshots written before the knobs were recorded lack the "query"
-    key; they restore with the defaults (cache on, kernels auto).
+    key; they restore with the cache on.  Older snapshots also carry
+    ``kernels`` (a leaf-kernel policy the library no longer has); it is
+    accepted and ignored.
     """
     raw = snap.get("query", {})
     _require(isinstance(raw, dict), '"query" must be a dict when present')
-    return {
-        "query_cache": bool(raw.get("cache", True)),
-        "kernels": str(raw.get("kernels", "auto")),
-    }
+    return {"query_cache": bool(raw.get("cache", True))}
 
 
 def _restore_nofn(snap: Dict[str, Any], engine: NofNSkyline) -> NofNSkyline:

@@ -45,7 +45,7 @@ exactly (property-tested).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, cast
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.accel.batch_prefilter import (
     BatchPrefilter,
@@ -63,7 +63,7 @@ from repro.exceptions import (
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
 from repro.structures.interval_tree import IntervalHandle, IntervalTree
 from repro.structures.labelset import LabelSet
-from repro.structures.rtree_soa import SoARTree, make_rtree
+from repro.structures.rtree_soa import SoARTree
 
 
 class _BandRecord:
@@ -102,13 +102,11 @@ class KSkybandEngine:
         Runtime invariant checking: ``"off"`` (default), ``"sampled"``,
         ``"full"``, or a shared
         :class:`~repro.sanitize.InvariantSanitizer`.
-    query_cache / kernels / rtree_layout / batch_chunk:
+    query_cache / batch_chunk:
         Query and batched-ingest knobs (see
         :class:`~repro.core.nofn.NofNSkyline`): the versioned stab
-        cache behind :meth:`query`, the vectorised R-tree leaf-search
-        policy, the dominance-index layout
-        (``"auto"``/``"soa"``/``"pointer"``), and the
-        :meth:`append_many` slice size (clamped to ``capacity`` here so
+        cache behind :meth:`query` and the :meth:`append_many` slice
+        size (clamped to ``capacity`` here so
         no chunk member can expire before its in-chunk pruner arrives).
     """
 
@@ -119,11 +117,8 @@ class KSkybandEngine:
         k: int,
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
-        rtree_split: str = "quadratic",
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
-        kernels: str = "auto",
-        rtree_layout: str = "auto",
         batch_chunk: Optional[int] = None,
     ) -> None:
         if capacity < 1:
@@ -141,16 +136,9 @@ class KSkybandEngine:
         self._records: Dict[int, _BandRecord] = {}
         self._labels: LabelSet[_BandRecord] = LabelSet()
         self._intervals: IntervalTree[_BandRecord] = IntervalTree()
-        self._rtree = make_rtree(
-            dim,
-            max_entries=rtree_max_entries,
-            min_entries=rtree_min_entries,
-            split=rtree_split,
-            kernels=kernels,
-            layout=rtree_layout,
+        self._rtree = SoARTree(
+            dim, max_entries=rtree_max_entries, min_entries=rtree_min_entries
         )
-        self._kernel_policy = kernels
-        self._rtree_layout = rtree_layout
         # Memoized answers come back pre-sorted in query order, so the
         # cached query path never re-sorts.
         self._stab_cache: Optional[StabCache[_BandRecord]] = (
@@ -305,130 +293,11 @@ class KSkybandEngine:
     def _arrive_chunk(
         self, elements: List[StreamElement], lo: int, hi: int
     ) -> int:
-        """Ingest ``elements[lo:hi]``, batched when the dominance index
-        is the SoA layout, per-element otherwise."""
-        if isinstance(self._rtree, SoARTree):
-            return self._arrive_chunk_soa(elements, lo, hi)
-        return self._arrive_chunk_fallback(elements, lo, hi)
-
-    def _arrive_chunk_fallback(
-        self, elements: List[StreamElement], lo: int, hi: int
-    ) -> int:
         """Ingest ``elements[lo:hi]`` (at most ``capacity`` of them, so
         no chunk member can expire before its in-chunk ``k``-th
         dominator arrives).
 
-        ``pending`` parks prefilter casualties until their pruning
-        arrival: logically retained (they count towards ``rn_size`` and
-        appear in younger members' older-dominator lists — exactly as
-        the R-tree would surface them per element) but never indexed.
-        """
-        chunk = elements[lo:hi]
-        pre = BatchPrefilter([e.values for e in chunk], k=self.k)
-        # Expiry gate: if the oldest retained position survives even the
-        # chunk's final threshold, no arrival in the chunk can expire
-        # anything (chunk members themselves cannot, chunk <= capacity).
-        threshold_end = chunk[-1].kappa - self.capacity + 1
-        may_expire = bool(self._labels) and self._labels.oldest()[0] < threshold_end
-        pending: Dict[int, StreamElement] = {}
-        for i, element in enumerate(chunk):
-            self._m = element.kappa
-
-            expired = 0
-            if may_expire:
-                threshold = self._m - self.capacity + 1
-                while self._labels:
-                    oldest_kappa, oldest = self._labels.oldest()
-                    if oldest_kappa >= threshold:
-                        break
-                    self._discard(oldest)
-                    expired += 1
-
-            # Merged top-k older strict dominator search: descend the
-            # R-tree stream and the alive-pending stream in lockstep,
-            # always taking the younger candidate, skipping exact
-            # duplicates (which still advance their stream, matching the
-            # per-element bound movement).  Doomed members skip it: the
-            # list only ever feeds their interval encoding, which they
-            # never get.  It must run before this arrival's pruning —
-            # members pruned *by* this arrival are still witnesses.
-            older_doms: List[int] = []
-            if not pre.is_doomed(i):
-                bound: Optional[int] = None
-                pend_stream = iter(pre.older_weak_dominators(i))
-                pend_head: Optional[int] = None
-                tree_head = self._rtree.max_kappa_dominator(element.values)
-                while len(older_doms) < self.k:
-                    if pend_head is None:
-                        for h in pend_stream:
-                            if chunk[h].kappa in pending:
-                                pend_head = h
-                                break
-                    if tree_head is None and pend_head is None:
-                        break
-                    if tree_head is not None and (
-                        pend_head is None
-                        or tree_head.kappa > chunk[pend_head].kappa
-                    ):
-                        bound = tree_head.kappa
-                        # Duplicate-identity check (tie rule), as above.
-                        if tree_head.point != element.values:  # lint: skip=REPRO004
-                            older_doms.append(tree_head.kappa)
-                        tree_head = self._rtree.max_kappa_dominator(
-                            element.values, kappa_below=bound
-                        )
-                    else:
-                        candidate = pending[chunk[pend_head].kappa]
-                        # Duplicate-identity check (tie rule), as above.
-                        if candidate.values != element.values:  # lint: skip=REPRO004
-                            older_doms.append(candidate.kappa)
-                        pend_head = None
-
-            demoted = 0
-            for entry in self._rtree.report_dominated(element.values):
-                dominated_record: _BandRecord = entry.data
-                dominated_record.younger += 1
-                if dominated_record.younger >= self.k:
-                    self._rtree.delete(dominated_record.element.kappa)
-                    self._discard(dominated_record)
-                    demoted += 1
-                else:
-                    self._reseat(dominated_record)
-            for h in pre.killed_at(i):
-                if pending.pop(chunk[h].kappa, None) is not None:
-                    demoted += 1
-
-            if pre.is_doomed(i):
-                pending[element.kappa] = element
-            else:
-                record = _BandRecord(element)
-                record.older_doms = older_doms
-                record.handle = self._intervals.insert(
-                    float(self._threshold_kappa(record)),
-                    float(element.kappa),
-                    record,
-                )
-                self._rtree.insert(element.values, element.kappa, record)
-                self._labels.append(element.kappa, record)
-                self._records[element.kappa] = record
-
-            self.stats.record_arrival(
-                expired=expired,
-                dominated=demoted,
-                rn_size=len(self._records) + len(pending),
-            )
-        if pending:
-            raise StructureCorruptionError(
-                f"{len(pending)} doomed batch members survived their chunk"
-            )
-        return pre.dropped
-
-    def _arrive_chunk_soa(
-        self, elements: List[StreamElement], lo: int, hi: int
-    ) -> int:
-        """Fully batched chunk ingestion over the SoA dominance index.
-
-        The index is frozen for the chunk: one chunk-wide dominance
+        The dominance index is frozen for the chunk: one chunk-wide dominance
         report (all-attribution — every arrival sees its own victims,
         since each hit increments a younger-dominator count) runs up
         front, every mutation is deferred, and the chunk flushes with
@@ -447,14 +316,18 @@ class KSkybandEngine:
           pending members and installed survivors, youngest first — all
           younger than anything indexed) with the frozen-tree stream,
           skipping entries that died mid-chunk.
+
+        ``pending`` parks prefilter casualties until their pruning
+        arrival: logically retained (they count towards ``rn_size`` and
+        appear in younger members' older-dominator lists) but never
+        indexed.
         """
         chunk = elements[lo:hi]
         points = [e.values for e in chunk]
         pre = BatchPrefilter(points, k=self.k)
         threshold_end = chunk[-1].kappa - self.capacity + 1
         may_expire = bool(self._labels) and self._labels.oldest()[0] < threshold_end
-        # The dispatcher only routes here for the SoA layout.
-        rtree = cast(SoARTree, self._rtree)
+        rtree = self._rtree
         victims0 = rtree.report_dominated_batch(points, first_only=False)
         deferred_deletes: List[int] = []
         deferred_inserts: Dict[int, _BandRecord] = {}
@@ -707,18 +580,6 @@ class KSkybandEngine:
     def stab_cache(self) -> Optional[StabCache[_BandRecord]]:
         """The query cache, or ``None`` when ``query_cache=False``."""
         return self._stab_cache
-
-    @property
-    def kernel_policy(self) -> str:
-        """The ``kernels`` knob this engine was built with."""
-        return self._kernel_policy
-
-    @property
-    def rtree_layout(self) -> str:
-        """The ``rtree_layout`` knob this engine was built with (the
-        requested policy; the effective layout is
-        ``engine._rtree.layout``)."""
-        return self._rtree_layout
 
     @property
     def batch_chunk(self) -> int:

@@ -39,13 +39,13 @@ class TimeWindowSkyline(NofNSkyline):
         Window length in time units; elements older than
         ``now - horizon`` are expired.  Queries may use any trailing
         period ``tau <= horizon``.
-    rtree_max_entries / rtree_min_entries / rtree_split:
-        Tuning of the internal R-tree, forwarded verbatim to
+    rtree_max_entries / rtree_min_entries:
+        Fan-out bounds of the dominance index, forwarded verbatim to
         :class:`~repro.core.nofn.NofNSkyline`.
     sanitize:
         Runtime invariant checking, forwarded verbatim (see
         :mod:`repro.sanitize`).
-    query_cache / kernels / rtree_layout / batch_chunk:
+    query_cache / batch_chunk:
         Query and batched-ingest knobs, forwarded verbatim (see
         :class:`~repro.core.nofn.NofNSkyline`); :meth:`query_last`
         answers through the versioned stab cache when enabled.
@@ -57,11 +57,8 @@ class TimeWindowSkyline(NofNSkyline):
         horizon: float,
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
-        rtree_split: str = "quadratic",
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
-        kernels: str = "auto",
-        rtree_layout: str = "auto",
         batch_chunk: Optional[int] = None,
     ) -> None:
         if horizon <= 0:
@@ -72,11 +69,8 @@ class TimeWindowSkyline(NofNSkyline):
             capacity=1,
             rtree_max_entries=rtree_max_entries,
             rtree_min_entries=rtree_min_entries,
-            rtree_split=rtree_split,
             sanitize=sanitize,
             query_cache=query_cache,
-            kernels=kernels,
-            rtree_layout=rtree_layout,
             batch_chunk=batch_chunk,
         )
         self.horizon = float(horizon)

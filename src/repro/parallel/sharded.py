@@ -65,14 +65,11 @@ class _ShardedRouter:
         backend: str = "serial",
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
-        rtree_split: str = "quadratic",
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
-        kernels: str = "auto",
         timeout: float = 120.0,
         replicas: str = "auto",
         replica_lag: Optional[int] = 0,
-        rtree_layout: str = "auto",
         batch_chunk: Optional[int] = None,
     ) -> None:
         if capacity < 1:
@@ -107,11 +104,8 @@ class _ShardedRouter:
         self._rtree_config = {
             "rtree_max_entries": rtree_max_entries,
             "rtree_min_entries": rtree_min_entries,
-            "rtree_split": rtree_split,
-            "rtree_layout": rtree_layout,
         }
         self._query_cache = query_cache
-        self._kernel_policy = kernels
         self._batch_chunk = resolve_batch_chunk(batch_chunk)
         self.replica_mode = replicas
         self.replica_lag = replica_lag
@@ -145,11 +139,8 @@ class _ShardedRouter:
             "stride": self.shards,
             "rtree_max_entries": self._rtree_config["rtree_max_entries"],
             "rtree_min_entries": self._rtree_config["rtree_min_entries"],
-            "rtree_split": self._rtree_config["rtree_split"],
-            "rtree_layout": self._rtree_config["rtree_layout"],
             "sanitize": self.sanitize_mode,
             "query_cache": self._query_cache,
-            "kernels": self._kernel_policy,
             "batch_chunk": self._batch_chunk,
         }
 
@@ -328,17 +319,6 @@ class _ShardedRouter:
     def sanitize_mode(self) -> str:
         """The active sanitize mode (``"off"`` when none is attached)."""
         return "off" if self._sanitizer is None else self._sanitizer.mode
-
-    @property
-    def kernel_policy(self) -> str:
-        """The ``kernels`` knob the shard engines were built with."""
-        return self._kernel_policy
-
-    @property
-    def rtree_layout(self) -> str:
-        """The ``rtree_layout`` knob the shard engines were built with
-        (the requested policy; each shard resolves ``"auto"`` itself)."""
-        return str(self._rtree_config["rtree_layout"])
 
     @property
     def batch_chunk(self) -> int:
@@ -535,14 +515,11 @@ class ShardedKSkyband(_ShardedRouter):
         backend: str = "serial",
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
-        rtree_split: str = "quadratic",
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
-        kernels: str = "auto",
         timeout: float = 120.0,
         replicas: str = "auto",
         replica_lag: Optional[int] = 0,
-        rtree_layout: str = "auto",
         batch_chunk: Optional[int] = None,
     ) -> None:
         if k < 1:
@@ -555,14 +532,11 @@ class ShardedKSkyband(_ShardedRouter):
             backend=backend,
             rtree_max_entries=rtree_max_entries,
             rtree_min_entries=rtree_min_entries,
-            rtree_split=rtree_split,
             sanitize=sanitize,
             query_cache=query_cache,
-            kernels=kernels,
             timeout=timeout,
             replicas=replicas,
             replica_lag=replica_lag,
-            rtree_layout=rtree_layout,
             batch_chunk=batch_chunk,
         )
 

@@ -54,8 +54,10 @@ The invariant catalogue (the ``invariant`` field of the report):
 plus the structure-level invariants raised by the structures themselves
 (``rbtree-*``, ``max-high-augmentation``, ``interval-slots``,
 ``labelset-*``, ``heap-*``,
-``rtree-*`` — including ``rtree-kernel-cache``, a cached leaf kernel
-that no longer mirrors its leaf's children).
+``rtree-*`` — raised by the SoA dominance index
+(:class:`~repro.structures.rtree_soa.SoARTree`), including
+``rtree-kernel-cache``, a pooled coordinate/kappa row that no longer
+mirrors its entry object).
 
 Import discipline
 -----------------

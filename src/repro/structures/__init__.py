@@ -4,11 +4,10 @@ Everything here is self-contained and paper-faithful:
 
 * :mod:`repro.structures.rbtree` — augmentable red-black tree;
 * :mod:`repro.structures.interval_tree` — dynamic stabbing-query tree;
-* :mod:`repro.structures.rtree` — in-memory R-tree with the paper's
-  depth-first dominance reporting and best-first dominator search;
-* :mod:`repro.structures.rtree_soa` — struct-of-arrays rebuild of the
-  same search surface (pooled NumPy matrices, blocks as index ranges)
-  plus the ``rtree_layout`` factory the engines construct through;
+* :mod:`repro.structures.rtree_soa` — the dominance index over
+  ``R_N``: a struct-of-arrays R-tree (pooled NumPy matrices, one level
+  of blocks as index ranges) answering the paper's dominance reporting
+  and best-first dominator search;
 * :mod:`repro.structures.heap` — indexed min/max heaps (trigger lists);
 * :mod:`repro.structures.mbr` — bounding-box algebra incl. Figure 7's
   candidate-region tests;
@@ -20,14 +19,7 @@ from repro.structures.interval_tree import Interval, IntervalHandle, IntervalTre
 from repro.structures.labelset import LabelSet
 from repro.structures.mbr import MBR
 from repro.structures.rbtree import RedBlackTree
-from repro.structures.rtree import RTree, RTreeEntry
-from repro.structures.rtree_soa import (
-    RTREE_LAYOUTS,
-    SoAEntry,
-    SoARTree,
-    make_rtree,
-    resolve_rtree_layout,
-)
+from repro.structures.rtree_soa import SoAEntry, SoARTree
 
 __all__ = [
     "IndexedHeap",
@@ -39,11 +31,6 @@ __all__ = [
     "LabelSet",
     "MBR",
     "RedBlackTree",
-    "RTree",
-    "RTreeEntry",
-    "RTREE_LAYOUTS",
     "SoAEntry",
     "SoARTree",
-    "make_rtree",
-    "resolve_rtree_layout",
 ]

@@ -1,15 +1,10 @@
 """Struct-of-arrays dominance index over ``R_N`` (the SoA R-tree).
 
-The pointer R-tree (:mod:`repro.structures.rtree`) spends its ingest
-budget on Python object walks: every arrival runs a dominance removal,
-a critical-dominator search and an insert, and each of those touches
-dozens of ``_Node``/``RTreeEntry`` objects plus per-leaf ``LeafKernel``
-caches that the very next structural change invalidates.  The profile
-in ROADMAP.md (d=5 ingest at ~1.3 ms/element, kernels *neutral to
-negative*) says the fix is structural, not micro-tuning.
-
-This module rebuilds the same search surface on a struct-of-arrays
-layout:
+The paper keeps ``R_N`` in an in-memory R-tree and answers two searches
+over it per arrival: Figure 7a's dominance reporting (everything the
+newcomer weakly dominates) and Figure 7b's best-first search for the
+critical dominator.  This module answers the same searches over a
+one-level index of flat arrays instead of a pointer tree:
 
 * all points live in one pooled ``(rows, dim)`` float64 matrix with a
   parallel ``(rows,)`` int64 kappa vector;
@@ -23,8 +18,7 @@ layout:
 
 ``report_dominated`` / ``remove_dominated`` / ``max_kappa_dominator``
 therefore do two vectorised passes (block mask, then per-block slice
-reduction) instead of a per-entry Python walk — and there is no kernel
-cache to invalidate, because the pooled matrix *is* the structure.
+reduction) instead of a per-entry Python walk.
 
 Expiry is batched by design: :meth:`SoARTree.delete` is an O(1) swap
 that marks the block's summary dirty, and summaries are re-derived
@@ -33,16 +27,10 @@ a window slide that expires E elements costs one summary recompute per
 touched block instead of E rebalances.  Stale summaries are only ever
 *conservative* supersets (deletion shrinks the true box, insertion
 extends the stored box), so pruning stays sound in between refreshes.
-
-The pointer tree remains available behind the ``rtree_layout`` knob
-(``"auto"``/``"soa"``/``"pointer"``); :func:`make_rtree` is the single
-construction point used by every engine, and the two layouts are
-property-tested for exact parity.
 """
 
 from __future__ import annotations
 
-import os
 from typing import (
     Any,
     Dict,
@@ -52,71 +40,29 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
-try:  # pragma: no cover - exercised only without NumPy installed
-    import numpy as _np
-except ImportError:  # pragma: no cover - NumPy is optional
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
-from repro.accel.rtree_kernels import HAVE_NUMPY, resolve_kernel_policy
 from repro.exceptions import (
     DimensionMismatchError,
     DuplicateKeyError,
     KeyNotFoundError,
     corruption,
 )
-from repro.structures.rtree import (
-    DEFAULT_MAX_ENTRIES,
-    DEFAULT_MIN_ENTRIES,
-    RTree,
-)
 
 Point = Tuple[float, ...]
 
-#: Legal values of the ``rtree_layout`` knob.
-RTREE_LAYOUTS = ("auto", "soa", "pointer")
-
-#: Environment override consulted by ``rtree_layout="auto"`` — the CI
-#: matrix mechanism (mirrors ``REPRO_SHARD_REPLICAS``).
-LAYOUT_ENV = "REPRO_RTREE_LAYOUT"
+#: Default fan-out bounds (Guttman's M and m); the block capacity is
+#: derived from ``max_entries``.
+DEFAULT_MAX_ENTRIES = 12
+DEFAULT_MIN_ENTRIES = 4
 
 #: Fraction below which average block occupancy triggers a repack.
 _REPACK_OCCUPANCY = 0.35
 
 #: Fill fraction a repack packs blocks to (headroom for new inserts).
 _REPACK_FILL = 0.75
-
-
-def resolve_rtree_layout(layout: str) -> str:
-    """Map an ``rtree_layout`` knob value to the effective layout.
-
-    ``"auto"`` consults the :data:`LAYOUT_ENV` environment variable
-    (``soa``/``pointer``/``auto``) and otherwise prefers ``"soa"``
-    whenever NumPy is importable.  ``"soa"`` without NumPy degrades to
-    ``"pointer"`` with no error, like the kernels ``"on"`` policy.
-
-    Raises
-    ------
-    ValueError
-        If ``layout`` (or a non-empty :data:`LAYOUT_ENV`) is not one of
-        :data:`RTREE_LAYOUTS`.
-    """
-    if layout not in RTREE_LAYOUTS:
-        raise ValueError(
-            f"rtree_layout must be one of {RTREE_LAYOUTS}, got {layout!r}"
-        )
-    if layout == "auto":
-        env = os.environ.get(LAYOUT_ENV, "").strip().lower()
-        if env and env not in RTREE_LAYOUTS:
-            raise ValueError(
-                f"{LAYOUT_ENV} must be one of {RTREE_LAYOUTS}, got {env!r}"
-            )
-        layout = env if env in ("soa", "pointer") else "soa"
-    if layout == "soa" and not HAVE_NUMPY:
-        return "pointer"
-    return layout
 
 
 class SoAEntry:
@@ -142,25 +88,16 @@ class SoAEntry:
 class SoARTree:
     """Struct-of-arrays dominance index with the R-tree search surface.
 
-    Drop-in for :class:`~repro.structures.rtree.RTree` everywhere the
-    engines use it (same constructor knobs, same methods, same
-    corruption check ids); requires NumPy — :func:`make_rtree` handles
-    the fallback.
-
     Parameters
     ----------
     dim:
         Dimensionality of stored points.
     max_entries / min_entries:
-        Accepted for interface parity (persisted and surfaced like the
-        pointer tree's); the block capacity is derived from
-        ``max_entries`` so tuning carries over proportionally.
-    split:
-        Accepted and recorded for parity (``"quadratic"``/``"rstar"``);
-        blocks split by median along the widest axis regardless.
-    kernels:
-        Accepted, validated and recorded for parity; the SoA layout is
-        always vectorised.
+        Guttman fan-out bounds, validated as for an R-tree
+        (``2 <= min_entries <= max_entries // 2``); the block capacity
+        is derived from ``max_entries``.
+    block_capacity:
+        Rows per block; defaults to ``max(32, 4 * max_entries)``.
     """
 
     def __init__(
@@ -168,14 +105,8 @@ class SoARTree:
         dim: int,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         min_entries: int = DEFAULT_MIN_ENTRIES,
-        split: str = "quadratic",
-        kernels: str = "auto",
         block_capacity: Optional[int] = None,
     ) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "SoARTree requires NumPy; use rtree_layout='pointer'"
-            )
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         if not 2 <= min_entries <= max_entries // 2:
@@ -183,18 +114,9 @@ class SoARTree:
                 f"need 2 <= min_entries <= max_entries // 2, got "
                 f"min={min_entries}, max={max_entries}"
             )
-        if split not in ("quadratic", "rstar"):
-            raise ValueError(
-                f"split must be 'quadratic' or 'rstar', got {split!r}"
-            )
-        resolve_kernel_policy(kernels)  # validate; SoA always vectorises
         self.dim = dim
         self.max_entries = max_entries
         self.min_entries = min_entries
-        self.split_policy = split
-        self.kernel_policy = kernels
-        self.layout = "soa"
-        self.layout_policy = "soa"
         if block_capacity is None:
             block_capacity = max(32, 4 * max_entries)
         if block_capacity < 2:
@@ -203,7 +125,7 @@ class SoARTree:
             )
         self.block_capacity = block_capacity
         #: Blocks expanded by the most recent ``report_dominated`` call
-        #: (instrumentation, mirrors the pointer tree's counter).
+        #: (instrumentation).
         self.last_report_visits = 0
         blocks = 4
         rows = blocks * block_capacity
@@ -219,7 +141,7 @@ class SoARTree:
         self._entries: Dict[int, SoAEntry] = {}
 
     # ------------------------------------------------------------------
-    # Basic accessors (pointer-tree parity surface)
+    # Basic accessors
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -249,6 +171,21 @@ class SoARTree:
     def active_blocks(self) -> int:
         """Number of non-empty blocks (introspection/benchmarks)."""
         return int((self._blk_len > 0).sum())
+
+    def blocks(self) -> Iterator[Tuple[Point, List[SoAEntry]]]:
+        """Yield ``(lower corner, entries)`` for every non-empty block.
+
+        Summaries are refreshed first, so each corner is tight.  Used
+        by the best-first BBS baseline, which keys a block by its
+        lower corner before expanding it into points.
+        """
+        self._refresh()
+        cap = self.block_capacity
+        for b in _np.flatnonzero(self._blk_len > 0).tolist():
+            start = b * cap
+            owners = self._rows[start:start + int(self._blk_len[b])]
+            corner = tuple(self._blk_lower[b].tolist())
+            yield corner, [e for e in owners if e is not None]
 
     # ------------------------------------------------------------------
     # Block bookkeeping
@@ -1096,12 +1033,10 @@ class SoARTree:
     def check_invariants(self) -> None:
         """Verify structural invariants over the whole index.
 
-        Raises the same check ids as the pointer tree wherever the
-        concept carries over — in particular ``rtree-kernel-cache``
-        covers the pooled coordinate/kappa matrices (the SoA analogue
-        of a cached leaf kernel: the matrix must mirror the entry
-        objects row for row).  Dirty blocks are *not* refreshed first:
-        their summaries must still be conservative supersets.
+        ``rtree-kernel-cache`` covers the pooled coordinate/kappa
+        matrices: the matrix must mirror the entry objects row for row.
+        Dirty blocks are *not* refreshed first: their summaries must
+        still be conservative supersets.
 
         Raises
         ------
@@ -1228,43 +1163,3 @@ class SoARTree:
                     kappas=(kappa,),
                 )
 
-
-AnyRTree = Union[RTree, SoARTree]
-
-
-def make_rtree(
-    dim: int,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-    min_entries: int = DEFAULT_MIN_ENTRIES,
-    split: str = "quadratic",
-    kernels: str = "auto",
-    layout: str = "auto",
-) -> AnyRTree:
-    """Build the dominance index for an engine.
-
-    The single construction point behind every engine's ``rtree_*``
-    knobs: resolves ``layout`` via :func:`resolve_rtree_layout` and
-    stamps the *requested* policy on the instance (``layout_policy``)
-    next to the *effective* layout (``layout``) so persistence can
-    round-trip the knob as configured.
-    """
-    effective = resolve_rtree_layout(layout)
-    index: AnyRTree
-    if effective == "soa":
-        index = SoARTree(
-            dim,
-            max_entries=max_entries,
-            min_entries=min_entries,
-            split=split,
-            kernels=kernels,
-        )
-    else:
-        index = RTree(
-            dim,
-            max_entries=max_entries,
-            min_entries=min_entries,
-            split=split,
-            kernels=kernels,
-        )
-    index.layout_policy = layout
-    return index

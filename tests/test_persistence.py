@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import N1N2Skyline, NofNSkyline, TimeWindowSkyline
+from repro import N1N2Skyline, NofNSkyline, ShardedNofNSkyline, TimeWindowSkyline
 from repro.core.persistence import SnapshotError, dumps, loads, restore, snapshot
 from repro.streams import materialize
+
+FIXTURES = Path(__file__).parent / "fixtures" / "snapshots"
 
 
 class TestNofNRoundTrip:
@@ -189,8 +194,8 @@ class TestPropertyRoundTrip:
 
 
 class TestRTreeConfigRoundTrip:
-    """Snapshots must record the R-tree tuning (fan-out bounds and split
-    policy) so a restored engine evolves identically — and must still
+    """Snapshots must record the R-tree tuning (fan-out bounds) so a
+    restored engine evolves identically — and must still
     accept older snapshots that predate the ``rtree`` section."""
 
     coord = st.integers(0, 6).map(lambda v: v / 6)
@@ -204,23 +209,20 @@ class TestRTreeConfigRoundTrip:
         st.lists(st.tuples(coord, coord), min_size=1, max_size=40),
         st.integers(1, 10),
         FANOUTS,
-        st.sampled_from(["quadratic", "rstar"]),
     )
-    def test_nofn_tuning_round_trips(self, history, capacity, fanout, split):
+    def test_nofn_tuning_round_trips(self, history, capacity, fanout):
         max_entries, min_entries = fanout
         engine = NofNSkyline(
             dim=2,
             capacity=capacity,
             rtree_max_entries=max_entries,
             rtree_min_entries=min_entries,
-            rtree_split=split,
         )
         for point in history:
             engine.append(point)
         clone = restore(snapshot(engine))
         assert clone._rtree.max_entries == max_entries
         assert clone._rtree.min_entries == min_entries
-        assert clone._rtree.split_policy == split
         clone.check_invariants()
         for n in range(1, capacity + 1):
             assert [e.kappa for e in clone.query(n)] == [
@@ -233,14 +235,12 @@ class TestRTreeConfigRoundTrip:
             horizon=5.0,
             rtree_max_entries=6,
             rtree_min_entries=3,
-            rtree_split="rstar",
         )
         for i, point in enumerate(materialize("independent", 2, 60, seed=4)):
             engine.append(point, float(i + 1))
         clone = restore(snapshot(engine))
         assert clone._rtree.max_entries == 6
         assert clone._rtree.min_entries == 3
-        assert clone._rtree.split_policy == "rstar"
         assert [e.kappa for e in clone.skyline()] == [
             e.kappa for e in engine.skyline()
         ]
@@ -251,14 +251,12 @@ class TestRTreeConfigRoundTrip:
             capacity=20,
             rtree_max_entries=8,
             rtree_min_entries=4,
-            rtree_split="rstar",
         )
         for point in materialize("anticorrelated", 2, 50, seed=9):
             engine.append(point)
         clone = restore(snapshot(engine))
         assert clone._rtree.max_entries == 8
         assert clone._rtree.min_entries == 4
-        assert clone._rtree.split_policy == "rstar"
         for n1, n2 in ((1, 20), (5, 10), (20, 20)):
             assert [e.kappa for e in clone.query(n1, n2)] == [
                 e.kappa for e in engine.query(n1, n2)
@@ -275,7 +273,6 @@ class TestRTreeConfigRoundTrip:
         clone = restore(snap)
         assert clone._rtree.max_entries == 12
         assert clone._rtree.min_entries == 4
-        assert clone._rtree.split_policy == "quadratic"
         assert [e.kappa for e in clone.skyline()] == [
             e.kappa for e in engine.skyline()
         ]
@@ -292,7 +289,6 @@ class TestRTreeConfigRoundTrip:
         points = materialize("anticorrelated", 2, 120, seed=6)
         engine = NofNSkyline(
             dim=2, capacity=30, rtree_max_entries=5, rtree_min_entries=2,
-            rtree_split="rstar",
         )
         for point in points[:80]:
             engine.append(point)
@@ -304,3 +300,65 @@ class TestRTreeConfigRoundTrip:
         assert [e.kappa for e in engine.skyline()] == [
             e.kappa for e in clone.skyline()
         ]
+
+
+class TestLegacyIndexKeys:
+    """Snapshots written while the library offered a choice of R-tree
+    layout, split policy and leaf kernels carry ``rtree.split``,
+    ``rtree.layout`` and ``query.kernels``.  The committed fixtures were
+    written by that version (pointer layout, R* split, kernels off) from
+    :data:`POINTS` with ``capacity=10``; restore must accept the keys,
+    ignore them, and answer exactly like a fresh engine."""
+
+    POINTS = [
+        (float(i * 7 % 10), float((i * 3 + 5) % 11)) for i in range(1, 21)
+    ]
+    MORE = [(float(i % 4), float(9 - i % 6)) for i in range(12)]
+    CAPACITY = 10
+
+    def load(self, name):
+        snap = json.loads((FIXTURES / name).read_text())
+        assert snap["rtree"]["split"] == "rstar"
+        assert snap["rtree"]["layout"] == "pointer"
+        assert snap["query"]["kernels"] == "off"
+        return snap
+
+    def assert_same_answers(self, clone, fresh):
+        for n in range(1, self.CAPACITY + 1):
+            assert [e.kappa for e in clone.query(n)] == [
+                e.kappa for e in fresh.query(n)
+            ], f"n={n}"
+
+    @pytest.mark.parametrize(
+        "name",
+        ["nofn_legacy_index_keys.json", "sharded_nofn_legacy_index_keys.json"],
+    )
+    def test_fixture_answers_like_a_fresh_engine(self, name):
+        snap = self.load(name)
+        fresh = NofNSkyline(dim=2, capacity=self.CAPACITY)
+        for point in self.POINTS:
+            fresh.append(point)
+        clone = restore(snap)
+        try:
+            self.assert_same_answers(clone, fresh)
+            clone.check_invariants()
+            # ...and keeps answering identically as the stream goes on.
+            for point in self.MORE:
+                clone.append(point)
+                fresh.append(point)
+                self.assert_same_answers(clone, fresh)
+        finally:
+            if isinstance(clone, ShardedNofNSkyline):
+                clone.close()
+
+    def test_snapshots_no_longer_write_the_keys(self):
+        engine = NofNSkyline(dim=2, capacity=self.CAPACITY)
+        with ShardedNofNSkyline(
+            dim=2, capacity=self.CAPACITY, shards=2
+        ) as router:
+            for point in self.POINTS:
+                engine.append(point)
+                router.append(point)
+            for snap in (snapshot(engine), snapshot(router)):
+                assert set(snap["rtree"]) == {"max_entries", "min_entries"}
+                assert set(snap["query"]) == {"cache"}

@@ -14,7 +14,7 @@ from repro import (
     NofNSkyline,
     TimeWindowSkyline,
 )
-from repro.structures.rtree import RTree
+from repro.structures.rtree_soa import SoARTree
 
 
 class TestContinuousUnfullWindowRoot:
@@ -65,10 +65,12 @@ class TestKSkybandSameArrivalPruning:
 class TestConstrainedRCorner:
     """Under a ``kappa_below`` constraint the r-corner shortcut of the
     best-first search may surface a *sub-optimal* subtree entry; it
-    must be fed back to the frontier, not returned outright."""
+    must be fed back to the frontier, not returned outright.  (Found on
+    the pointer R-tree; pinned on the block index with blocks small
+    enough that the young cluster fills blocks of its own.)"""
 
     def test_young_cluster_hides_older_winner(self):
-        tree = RTree(2, max_entries=4, min_entries=2)
+        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
         # A tight cluster of very young dominators (high kappas) whose
         # box r-corners immediately...
         for i in range(8):
@@ -174,21 +176,6 @@ class TestBBSSubnormalTieBreak:
 
         points = list(reversed(self.POINTS))
         assert bbs_skyline(points) == naive_skyline(points) == [0]
-
-
-class TestTimeWindowRTreeSplitForwarding:
-    """``TimeWindowSkyline.__init__`` once dropped ``rtree_split`` on
-    the floor instead of forwarding it to the base engine."""
-
-    def test_split_policy_reaches_the_tree(self):
-        engine = TimeWindowSkyline(dim=2, horizon=4.0, rtree_split="rstar")
-        assert engine._rtree.split_policy == "rstar"
-        default = TimeWindowSkyline(dim=2, horizon=4.0)
-        assert default._rtree.split_policy == "quadratic"
-
-    def test_invalid_split_is_rejected(self):
-        with pytest.raises(ValueError):
-            TimeWindowSkyline(dim=2, horizon=4.0, rtree_split="bogus")
 
 
 class TestTimeWindowQueryScanSemantics:

@@ -1,9 +1,11 @@
-"""Unit and property tests for the in-memory R-tree.
+"""Unit and property tests for the dominance index's R-tree surface.
 
-Covers the classic tree mechanics (insert/split/delete/condense) and —
-crucially for the paper — the two dominance-oriented searches:
-depth-first dominance reporting and the best-first max-kappa dominator
-search (section 3.3, Figure 7).
+The paper's R-tree is realised as :class:`SoARTree`, a one-level index
+of blocks over pooled arrays.  Covers the mechanics (insert, block
+split, delete, repack) and — crucially for the paper — the two
+dominance-oriented searches: dominance reporting and the best-first
+max-kappa dominator search (section 3.3, Figure 7), each against brute
+force.  Trees that must span many blocks use ``block_capacity=4``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.exceptions import (
     DuplicateKeyError,
     KeyNotFoundError,
 )
-from repro.structures.rtree import RTree
+from repro.structures.rtree_soa import SoARTree
 
 
 def brute_dominated(points, q):
@@ -40,12 +42,12 @@ def brute_best_dominator(points, q, kappa_below=None):
 class TestConstruction:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="dimension"):
-            RTree(0)
+            SoARTree(0)
         with pytest.raises(ValueError, match="min_entries"):
-            RTree(2, max_entries=4, min_entries=3)
+            SoARTree(2, max_entries=4, min_entries=3)
 
     def test_empty_tree(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         assert len(tree) == 0
         assert not tree
         assert tree.report_dominated((0.0, 0.0)) == []
@@ -55,32 +57,32 @@ class TestConstruction:
 
 class TestInsert:
     def test_insert_and_lookup(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         entry = tree.insert((0.5, 0.5), kappa=1, data="payload")
         assert tree.entry(1) is entry
         assert entry.data == "payload"
         assert 1 in tree
 
     def test_duplicate_kappa_rejected(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.1, 0.1), kappa=1)
         with pytest.raises(DuplicateKeyError):
             tree.insert((0.9, 0.9), kappa=1)
 
     def test_wrong_dimension_rejected(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         with pytest.raises(DimensionMismatchError):
             tree.insert((0.1,), kappa=1)
 
-    def test_split_grows_height(self):
-        tree = RTree(2, max_entries=4, min_entries=2)
+    def test_split_adds_blocks(self):
+        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
         for i in range(30):
             tree.insert((i / 30, (i * 7 % 30) / 30), kappa=i + 1)
-        assert tree.height() >= 2
+        assert tree.active_blocks() >= 30 // 4
         tree.check_invariants()
 
     def test_duplicate_points_different_kappas(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.5, 0.5), kappa=1)
         tree.insert((0.5, 0.5), kappa=2)
         assert len(tree) == 2
@@ -89,7 +91,7 @@ class TestInsert:
 
 class TestDelete:
     def test_delete_returns_entry(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.2, 0.2), kappa=1, data="x")
         entry = tree.delete(1)
         assert entry.data == "x"
@@ -98,20 +100,23 @@ class TestDelete:
 
     def test_delete_missing_raises(self):
         with pytest.raises(KeyNotFoundError):
-            RTree(2).delete(7)
+            SoARTree(2).delete(7)
 
-    def test_delete_triggers_condense(self):
-        tree = RTree(2, max_entries=4, min_entries=2)
+    def test_delete_triggers_repack(self):
+        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
         rng = random.Random(1)
         for i in range(40):
             tree.insert((rng.random(), rng.random()), kappa=i + 1)
+        spread = tree.active_blocks()
         for i in range(1, 36):
             tree.delete(i)
             tree.check_invariants()
         assert len(tree) == 5
+        # Low occupancy repacks the five survivors into dense blocks.
+        assert tree.active_blocks() <= 3 < spread
 
     def test_interleaved_insert_delete(self):
-        tree = RTree(3, max_entries=6, min_entries=2)
+        tree = SoARTree(3, max_entries=6, min_entries=2, block_capacity=6)
         rng = random.Random(4)
         live = {}
         kappa = 0
@@ -133,7 +138,7 @@ class TestDelete:
 
 class TestDominanceReporting:
     def test_reports_weakly_dominated_only(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.5, 0.5), kappa=1)
         tree.insert((0.4, 0.6), kappa=2)
         tree.insert((0.6, 0.6), kappa=3)
@@ -141,13 +146,13 @@ class TestDominanceReporting:
         assert got == [1, 3]  # (0.4, 0.6) trades off, not dominated
 
     def test_report_is_non_destructive(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.7, 0.7), kappa=1)
         tree.report_dominated((0.0, 0.0))
         assert len(tree) == 1
 
     def test_remove_dominated_unlinks_and_rebalances(self):
-        tree = RTree(2, max_entries=4, min_entries=2)
+        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
         rng = random.Random(8)
         live = {}
         for i in range(60):
@@ -163,8 +168,8 @@ class TestDominanceReporting:
         tree.check_invariants()
         assert len(tree) == len(live)
 
-    def test_l_corner_harvests_whole_subtree(self):
-        tree = RTree(2, max_entries=4, min_entries=2)
+    def test_l_corner_harvests_whole_block(self):
+        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
         # A tight cluster that q dominates entirely.
         for i in range(20):
             tree.insert((0.8 + i * 0.002, 0.8 + i * 0.003), kappa=i + 1)
@@ -176,7 +181,7 @@ class TestDominanceReporting:
 
 class TestBestFirstDominator:
     def test_returns_youngest_dominator(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.2, 0.2), kappa=1)
         tree.insert((0.3, 0.1), kappa=5)
         tree.insert((0.9, 0.9), kappa=9)  # not a dominator of q
@@ -184,25 +189,25 @@ class TestBestFirstDominator:
         assert found is not None and found.kappa == 5
 
     def test_none_when_no_dominator(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.5, 0.5), kappa=1)
         assert tree.max_kappa_dominator((0.4, 0.6)) is None
 
     def test_equal_point_weakly_dominates(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.5, 0.5), kappa=3)
         found = tree.max_kappa_dominator((0.5, 0.5))
         assert found is not None and found.kappa == 3
 
     def test_kappa_below_excludes_young_entries(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.2, 0.2), kappa=1)
         tree.insert((0.1, 0.1), kappa=8)
         found = tree.max_kappa_dominator((0.5, 0.5), kappa_below=8)
         assert found is not None and found.kappa == 1
 
     def test_kappa_below_can_empty_the_answer(self):
-        tree = RTree(2)
+        tree = SoARTree(2)
         tree.insert((0.1, 0.1), kappa=8)
         assert tree.max_kappa_dominator((0.5, 0.5), kappa_below=8) is None
 
@@ -217,7 +222,7 @@ class TestSearchProperties:
         st.tuples(coords, coords, coords),
     )
     def test_searches_match_brute_force(self, raw_points, q):
-        tree = RTree(3, max_entries=5, min_entries=2)
+        tree = SoARTree(3, max_entries=5, min_entries=2, block_capacity=5)
         live = {}
         for i, point in enumerate(raw_points):
             tree.insert(point, i + 1)
@@ -234,7 +239,7 @@ class TestSearchProperties:
         st.integers(1, 50),
     )
     def test_constrained_dominator_matches_brute_force(self, raw_points, q, cutoff):
-        tree = RTree(2, max_entries=4, min_entries=2)
+        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
         live = {}
         for i, point in enumerate(raw_points):
             tree.insert(point, i + 1)
@@ -248,7 +253,7 @@ class TestSearchProperties:
     @given(st.lists(st.tuples(coords, coords), max_size=50),
            st.tuples(coords, coords))
     def test_remove_dominated_equals_report(self, raw_points, q):
-        tree = RTree(2, max_entries=4, min_entries=2)
+        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
         for i, point in enumerate(raw_points):
             tree.insert(point, i + 1)
         reported = sorted(e.kappa for e in tree.report_dominated(q))

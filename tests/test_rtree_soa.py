@@ -1,20 +1,15 @@
 """Tests for the struct-of-arrays R-tree (``structures/rtree_soa.py``).
 
-Four concerns:
+Three concerns:
 
-* *layout resolution* — the ``rtree_layout`` knob, its env override,
-  and the ``make_rtree`` factory stamping requested vs effective
-  layout;
-* *parity* — the SoA index answers every dominance search identically
-  to the pointer tree and to brute force over random interleavings of
+* *mechanics* — construction, growth, and the block summaries the BBS
+  baseline walks;
+* *parity* — the index answers every dominance search identically to
+  brute force over random interleavings of
   insert/delete/remove_dominated;
 * *seeded corruption* — one deliberate tamper per invariant id,
-  mirroring ``tests/test_sanitizer.py``: the pooled arrays must be as
-  auditable as the pointer nodes, under the same names;
-* *engine equivalence* (hypothesis) — n-of-N engines built on either
-  layout return identical ``query``/``query_scan`` answers and
-  identical snapshot round-trips at every step of an interleaved
-  ``append``/``append_many``/expiry history.
+  mirroring ``tests/test_sanitizer.py``: the pooled arrays must be
+  auditable under the ``rtree-*`` invariant names.
 """
 
 from __future__ import annotations
@@ -22,28 +17,15 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import NofNSkyline
-from repro.accel.rtree_kernels import HAVE_NUMPY
 from repro.core.dominance import weakly_dominates
-from repro.core.persistence import loads, dumps
 from repro.exceptions import (
     DimensionMismatchError,
     DuplicateKeyError,
     StructureCorruptionError,
 )
-from repro.structures.rtree import RTree
-from repro.structures.rtree_soa import (
-    RTREE_LAYOUTS,
-    LAYOUT_ENV,
-    SoARTree,
-    make_rtree,
-    resolve_rtree_layout,
-)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
+from repro.structures.rtree_soa import SoARTree
 
 
 def fed_tree(count=60, dim=2, seed=3, **kwargs):
@@ -54,6 +36,24 @@ def fed_tree(count=60, dim=2, seed=3, **kwargs):
     return tree
 
 
+def brute_dominated(live, q):
+    """Kappas weakly dominated by ``q``, ascending."""
+    return sorted(k for k, p in live.items() if weakly_dominates(q, p))
+
+
+def brute_dominators(live, q, kappa_below=None):
+    """Kappas weakly dominating ``q`` (below ``kappa_below``), youngest
+    first."""
+    return sorted(
+        (
+            k for k, p in live.items()
+            if weakly_dominates(p, q)
+            and (kappa_below is None or k < kappa_below)
+        ),
+        reverse=True,
+    )
+
+
 def invariant_of(excinfo):
     report = excinfo.value.report
     assert report is not None, "corruption error must carry a report"
@@ -61,65 +61,10 @@ def invariant_of(excinfo):
 
 
 # ----------------------------------------------------------------------
-# Layout resolution and factory
-# ----------------------------------------------------------------------
-
-
-class TestLayoutResolution:
-    def test_layouts_tuple(self):
-        assert RTREE_LAYOUTS == ("auto", "soa", "pointer")
-
-    def test_invalid_layout_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_rtree_layout("vectorised")
-
-    def test_pointer_always_resolves(self):
-        assert resolve_rtree_layout("pointer") == "pointer"
-
-    @needs_numpy
-    def test_auto_prefers_soa(self, monkeypatch):
-        monkeypatch.delenv(LAYOUT_ENV, raising=False)
-        assert resolve_rtree_layout("auto") == "soa"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(LAYOUT_ENV, "pointer")
-        assert resolve_rtree_layout("auto") == "pointer"
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(LAYOUT_ENV, "nonsense")
-        with pytest.raises(ValueError):
-            resolve_rtree_layout("auto")
-
-    def test_env_does_not_override_explicit(self, monkeypatch):
-        monkeypatch.setenv(LAYOUT_ENV, "pointer")
-        resolved = resolve_rtree_layout("soa")
-        assert resolved == ("soa" if HAVE_NUMPY else "pointer")
-
-    @needs_numpy
-    def test_factory_stamps_policies(self, monkeypatch):
-        monkeypatch.delenv(LAYOUT_ENV, raising=False)
-        index = make_rtree(2, layout="auto")
-        assert isinstance(index, SoARTree)
-        assert index.layout == "soa"
-        assert index.layout_policy == "auto"
-        pointer = make_rtree(2, layout="pointer")
-        assert isinstance(pointer, RTree)
-        assert pointer.layout == "pointer"
-        assert pointer.layout_policy == "pointer"
-
-    @needs_numpy
-    def test_factory_forwards_tuning(self):
-        index = make_rtree(3, max_entries=16, min_entries=4, layout="soa")
-        assert index.dim == 3
-        assert index.max_entries == 16
-
-
-# ----------------------------------------------------------------------
 # Construction / basic mechanics
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestSoAMechanics:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -161,19 +106,32 @@ class TestSoAMechanics:
         assert len(tree) == 2000
         tree.check_invariants()
 
+    def test_blocks_cover_every_entry_with_tight_corners(self):
+        tree = fed_tree(count=300, dim=3, block_capacity=8)
+        for kappa in range(1, 300, 3):
+            tree.delete(kappa)  # leaves dirty summaries behind
+        seen = []
+        for corner, entries in tree.blocks():
+            assert entries
+            lower = tuple(
+                min(e.point[axis] for e in entries) for axis in range(3)
+            )
+            assert corner == lower
+            seen.extend(e.kappa for e in entries)
+        assert sorted(seen) == sorted(e.kappa for e in tree.entries())
+        tree.check_invariants()
+
 
 # ----------------------------------------------------------------------
-# Parity with the pointer tree and brute force
+# Parity with brute force
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestSoAParity:
     @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_random_interleaving_matches_pointer_tree(self, dim):
+    def test_random_interleaving_matches_brute_force(self, dim):
         rng = random.Random(100 + dim)
         soa = SoARTree(dim, block_capacity=32)
-        pointer = RTree(dim)
         live = {}
         kappa = 0
         for _ in range(1200):
@@ -182,54 +140,82 @@ class TestSoAParity:
             if op < 0.55 or not live:
                 kappa += 1
                 soa.insert(q, kappa)
-                pointer.insert(q, kappa)
                 live[kappa] = q
             elif op < 0.70:
                 victim = rng.choice(list(live))
                 soa.delete(victim)
-                pointer.delete(victim)
                 del live[victim]
             elif op < 0.80:
-                # The pointer tree reports in DFS order (no ordering
-                # contract); the SoA index happens to sort by kappa.
                 got = [e.kappa for e in soa.remove_dominated(q)]
-                want = sorted(
-                    e.kappa for e in pointer.remove_dominated(q)
-                )
-                assert got == want
+                assert got == brute_dominated(live, q)
                 for k in got:
                     del live[k]
             elif op < 0.90:
                 got = [e.kappa for e in soa.report_dominated(q)]
-                want = sorted(
-                    e.kappa for e in pointer.report_dominated(q)
-                )
-                brute = sorted(
-                    k for k, p in live.items() if weakly_dominates(q, p)
-                )
-                assert got == want == brute
+                assert got == brute_dominated(live, q)
             else:
                 cutoff = rng.choice([None, kappa // 2 + 1])
                 got = soa.max_kappa_dominator(q, cutoff)
-                want = pointer.max_kappa_dominator(q, cutoff)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got.kappa == want.kappa
+                want = brute_dominators(live, q, cutoff)
+                assert (got.kappa if got else None) == (
+                    want[0] if want else None
+                )
             soa.check_invariants()
-        pointer.check_invariants()
 
-    def test_top_kappa_dominators_matches_pointer(self):
+    def test_top_kappa_dominators_matches_brute_force(self):
         rng = random.Random(9)
         soa = fed_tree(count=200, dim=3, seed=9)
-        pointer = RTree(3)
-        for entry in soa.entries():
-            pointer.insert(entry.point, entry.kappa)
+        live = {e.kappa: e.point for e in soa.entries()}
         for _ in range(50):
             q = tuple(rng.random() for _ in range(3))
             for k in (1, 3, 10):
                 got = [e.kappa for e in soa.top_kappa_dominators(q, k)]
-                want = [e.kappa for e in pointer.top_kappa_dominators(q, k)]
-                assert got == want
+                assert got == brute_dominators(live, q)[:k]
+
+
+class TestReportPruning:
+    @staticmethod
+    def mirror_visits(tree, q):
+        """Independent re-statement of the pruning contract: a block is
+        expanded iff its (tight) upper corner is weakly above ``q``."""
+        return sum(
+            all(
+                q[axis] <= max(e.point[axis] for e in entries)
+                for axis in range(tree.dim)
+            )
+            for _, entries in tree.blocks()
+        )
+
+    def test_visit_counts_match_mirror(self):
+        rng = random.Random(42)
+        tree = SoARTree(3, max_entries=4, min_entries=2, block_capacity=4)
+        live = {}
+        for kappa in range(1, 301):
+            live[kappa] = tuple(rng.randint(0, 50) for _ in range(3))
+            tree.insert(live[kappa], kappa)
+        pruned_somewhere = False
+        for _ in range(25):
+            q = tuple(rng.randint(0, 50) for _ in range(3))
+            got = [e.kappa for e in tree.report_dominated(q)]
+            assert got == brute_dominated(live, q)
+            assert tree.last_report_visits == self.mirror_visits(tree, q)
+            if tree.last_report_visits < tree.active_blocks():
+                pruned_somewhere = True
+        assert pruned_somewhere
+
+    def test_high_probe_visits_nothing(self):
+        """A probe dominating nothing and outside every candidate region
+        must not expand a single block."""
+        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
+        for kappa in range(1, 30):
+            tree.insert((kappa % 5, kappa % 7), kappa)
+        assert tree.report_dominated((100, 100)) == []
+        assert tree.last_report_visits == 0
+
+    def test_empty_tree_visits_nothing(self):
+        tree = SoARTree(2)
+        assert tree.report_dominated((0, 0)) == []
+        assert tree.last_report_visits == 0
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +223,6 @@ class TestSoAParity:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestSoACorruption:
     def _live_block(self, tree):
         return next(
@@ -310,9 +295,9 @@ class TestSoACorruption:
         assert invariant_of(excinfo) == "rtree-fanout"
 
     def test_engine_sanitizer_sees_soa_tampering(self):
-        # The full n-of-N verifier must surface SoA corruption exactly
-        # like pointer corruption (same invariant id, same exception).
-        engine = NofNSkyline(2, 12, rtree_layout="soa")
+        # The full n-of-N verifier must surface index corruption under
+        # the index's own invariant id.
+        engine = NofNSkyline(2, 12)
         rng = random.Random(4)
         for _ in range(40):
             engine.append((rng.random(), rng.random()))
@@ -321,74 +306,3 @@ class TestSoACorruption:
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
         assert invariant_of(excinfo) == "rtree-kernel-cache"
-
-
-# ----------------------------------------------------------------------
-# Engine equivalence across layouts (hypothesis)
-# ----------------------------------------------------------------------
-
-coord = st.integers(0, 7).map(lambda v: v / 7)
-
-
-def histories(max_dim=3, max_batches=14):
-    """Interleaved single/batched arrivals: each step is one point
-    (``append``) or a small batch (``append_many``)."""
-    return st.integers(1, max_dim).flatmap(
-        lambda d: st.lists(
-            st.lists(
-                st.tuples(*[coord] * d).map(tuple), min_size=1, max_size=5
-            ),
-            min_size=1,
-            max_size=max_batches,
-        )
-    )
-
-
-@needs_numpy
-class TestEngineLayoutEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(histories(), st.integers(1, 8))
-    def test_layouts_agree_at_every_step(self, batches, capacity):
-        dim = len(batches[0][0])
-        soa = NofNSkyline(dim=dim, capacity=capacity, rtree_layout="soa")
-        pointer = NofNSkyline(
-            dim=dim, capacity=capacity, rtree_layout="pointer"
-        )
-        for step, batch in enumerate(batches):
-            if len(batch) == 1 and step % 2 == 0:
-                soa.append(batch[0])
-                pointer.append(batch[0])
-            else:
-                soa.append_many(batch)
-                pointer.append_many(batch)
-            for n in (1, max(1, capacity // 2), capacity):
-                got = [e.kappa for e in soa.query(n)]
-                assert got == [e.kappa for e in pointer.query(n)]
-                assert got == [e.kappa for e in soa.query_scan(n)]
-                assert got == [e.kappa for e in pointer.query_scan(n)]
-            restored_soa = loads(dumps(soa))
-            restored_pointer = loads(dumps(pointer))
-            assert restored_soa.rtree_layout == "soa"
-            assert restored_pointer.rtree_layout == "pointer"
-            for n in (1, capacity):
-                want = [e.kappa for e in soa.query(n)]
-                assert [e.kappa for e in restored_soa.query(n)] == want
-                assert [e.kappa for e in restored_pointer.query(n)] == want
-
-    @settings(max_examples=15, deadline=None)
-    @given(histories(max_dim=2, max_batches=10), st.integers(1, 6))
-    def test_layouts_agree_under_full_sanitize(self, batches, capacity):
-        dim = len(batches[0][0])
-        soa = NofNSkyline(
-            dim=dim, capacity=capacity, rtree_layout="soa", sanitize="full"
-        )
-        pointer = NofNSkyline(
-            dim=dim, capacity=capacity, rtree_layout="pointer",
-            sanitize="full",
-        )
-        for batch in batches:
-            soa.append_many(batch)
-            pointer.append_many(batch)
-            assert [e.kappa for e in soa.query(capacity)] == [
-                e.kappa for e in pointer.query(capacity)
-            ]

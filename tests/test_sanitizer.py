@@ -195,20 +195,21 @@ class TestNofNCorruption:
         assert invariant_of(excinfo) == "forest"
 
     def test_rtree_augmentation_tamper(self):
-        # ``_root`` is pointer-layout state; the SoA analogue lives in
-        # tests/test_rtree_soa.py (same invariant name, pooled arrays).
-        engine = fed_nofn(rtree_layout="pointer")
-        engine._rtree._root.max_kappa = -5
+        engine = fed_nofn()
+        tree = engine._rtree
+        tree._refresh()  # every block summary tight
+        blocks = [b for b in range(len(tree._blk_len)) if tree._blk_len[b]]
+        tree._blk_maxk[blocks[0]] = -5
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
         assert invariant_of(excinfo) == "rtree-augmentation"
 
-    def test_rtree_augmentation_tamper_soa(self):
-        engine = fed_nofn(rtree_layout="soa")
-        if engine._rtree.layout != "soa":
-            pytest.skip("NumPy unavailable: soa degraded to pointer")
+    def test_rtree_augmentation_tamper_dirty_block(self):
+        # A dirty block's summary may be loose, never below its rows.
+        engine = fed_nofn()
         tree = engine._rtree
         blocks = [b for b in range(len(tree._blk_len)) if tree._blk_len[b]]
+        tree._dirty.add(blocks[0])
         tree._blk_maxk[blocks[0]] = -5
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()

@@ -398,8 +398,7 @@ class TestIntrospectionUniformity:
     (satellite: previously ApproxNofNSkyline and ContinuousQueryManager
     lacked them; TimeWindowSkyline already inherited the full set)."""
 
-    PROBES = ("structure_version", "cache_stats", "kernel_policy",
-              "stab_cache")
+    PROBES = ("structure_version", "cache_stats", "stab_cache")
 
     def build_all(self, rng):
         from repro import (

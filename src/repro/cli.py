@@ -114,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "structural theorems after every arrival (full), "
                           "every 64th maintenance event (sampled), or not "
                           "at all (off, the default)")
-    win.add_argument("--query-cache", default="on", choices=("on", "off"),
-                     help="versioned stab cache for queries: memoize stab "
-                          "results until the interval tree changes "
-                          "(default on)")
     win.add_argument("--continuous-queries", type=int, default=0, metavar="Q",
                      help="register Q continuous n-of-N queries (a "
                           "deterministic mixed distinct/duplicate window "
@@ -267,7 +263,6 @@ def _cmd_window(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _build_window_engine(args: argparse.Namespace, dim: int) -> WindowEngine:
-    query_cache = args.query_cache == "on"
     if args.shards > 1:
         # Negative --shard-replica-lag means "unbounded" (None).
         lag = getattr(args, "shard_replica_lag", 0)
@@ -281,7 +276,6 @@ def _build_window_engine(args: argparse.Namespace, dim: int) -> WindowEngine:
                 shards=args.shards,
                 backend=args.shard_backend,
                 sanitize=args.sanitize,
-                query_cache=query_cache,
                 batch_chunk=args.batch_chunk,
                 replicas=replicas,
                 replica_lag=replica_lag,
@@ -292,7 +286,6 @@ def _build_window_engine(args: argparse.Namespace, dim: int) -> WindowEngine:
             shards=args.shards,
             backend=args.shard_backend,
             sanitize=args.sanitize,
-            query_cache=query_cache,
             batch_chunk=args.batch_chunk,
             replicas=replicas,
             replica_lag=replica_lag,
@@ -303,14 +296,12 @@ def _build_window_engine(args: argparse.Namespace, dim: int) -> WindowEngine:
             capacity=args.capacity,
             k=args.band,
             sanitize=args.sanitize,
-            query_cache=query_cache,
             batch_chunk=args.batch_chunk,
         )
     return NofNSkyline(
         dim=dim,
         capacity=args.capacity,
         sanitize=args.sanitize,
-        query_cache=query_cache,
         batch_chunk=args.batch_chunk,
     )
 

@@ -31,7 +31,7 @@ and query cost) shrinks as ``epsilon`` grows —
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
 from repro.core.element import StreamElement
 from repro.core.events import ArrivalOutcome
@@ -150,13 +150,13 @@ class ApproxNofNSkyline:
         return self._inner.structure_version
 
     @property
-    def stab_cache(self) -> "Optional[StabCache[Any]]":
-        """The wrapped engine's query cache (``None`` when disabled)."""
+    def stab_cache(self) -> "StabCache[Any]":
+        """The wrapped engine's stab memo."""
         return self._inner.stab_cache
 
-    def cache_stats(self) -> Optional[Dict[str, int]]:
-        """Hit/miss/rebuild counters of the wrapped engine's query
-        cache (``None`` when caching is disabled)."""
+    def cache_stats(self) -> Dict[str, int]:
+        """Hit/miss/rebuild counters of the wrapped engine's stab
+        memo."""
         return self._inner.cache_stats()
 
     def check_invariants(self) -> None:

@@ -641,13 +641,13 @@ class ContinuousQueryManager:
         return self.engine.structure_version
 
     @property
-    def stab_cache(self) -> "Optional[StabCache[Any]]":
-        """The wrapped engine's query cache (``None`` when disabled)."""
+    def stab_cache(self) -> "StabCache[Any]":
+        """The wrapped engine's stab memo."""
         return self.engine.stab_cache
 
-    def cache_stats(self) -> Optional[Dict[str, int]]:
-        """Hit/miss/rebuild counters of the wrapped engine's query
-        cache (``None`` when caching is disabled)."""
+    def cache_stats(self) -> Dict[str, int]:
+        """Hit/miss/rebuild counters of the wrapped engine's stab
+        memo."""
         return self.engine.cache_stats()
 
     def query_index_stats(self) -> Optional[Dict[str, int]]:

@@ -92,15 +92,16 @@ class N1N2Skyline:
         Runtime invariant checking: ``"off"`` (default), ``"sampled"``,
         ``"full"``, or a shared
         :class:`~repro.sanitize.InvariantSanitizer`.
-    query_cache / batch_chunk:
-        Query and batched-ingest knobs (see
-        :class:`~repro.core.nofn.NofNSkyline`).  Each interval tree
-        (``I_RN`` and ``I_RN-``) gets its own versioned stab cache; the
-        cached answers are the *raw* stab lists, post-filtered per query
-        on the Theorem-4 bounds exactly as the uncached path does.
+    batch_chunk:
+        The batched-ingest slice size (see
+        :class:`~repro.core.nofn.NofNSkyline`).
 
     Notes
     -----
+    Each interval tree (``I_RN`` and ``I_RN-``) has its own stab memo;
+    the memoized answers are the *raw* stab lists, post-filtered per
+    query on the Theorem-4 bounds.
+
     Space is ``O(N)``: the whole window is retained, as section 4
     requires.  Use :class:`repro.core.nofn.NofNSkyline` when only
     ``n1 = 1`` queries are needed — it stores only ``R_N``.
@@ -113,7 +114,6 @@ class N1N2Skyline:
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         batch_chunk: Optional[int] = None,
     ) -> None:
         if capacity < 1:
@@ -131,11 +131,9 @@ class N1N2Skyline:
         self._rtree = SoARTree(
             dim, max_entries=rtree_max_entries, min_entries=rtree_min_entries
         )
-        self._live_cache: Optional[StabCache[_WindowRecord]] = (
-            StabCache(self._live) if query_cache else None
-        )
-        self._superseded_cache: Optional[StabCache[_WindowRecord]] = (
-            StabCache(self._superseded) if query_cache else None
+        self._live_cache: StabCache[_WindowRecord] = StabCache(self._live)
+        self._superseded_cache: StabCache[_WindowRecord] = StabCache(
+            self._superseded
         )
         self.stats = EngineStats()
 
@@ -446,12 +444,7 @@ class N1N2Skyline:
         stab = max(1, self._m - n2 + 1)
 
         results: List[StreamElement] = []
-        live = (
-            self._live_cache.stab(stab)
-            if self._live_cache is not None
-            else self._live.stab(stab)
-        )
-        for record in live:
+        for record in self._live_cache.stab(stab):
             # Live elements have b = infinity; only the upper bound on
             # kappa(e) needs checking.
             if record.element.kappa <= upper:
@@ -459,12 +452,7 @@ class N1N2Skyline:
         if n1 > 1:
             # Superseded elements have finite b <= M; they can only
             # qualify when the slice ends strictly before the present.
-            superseded = (
-                self._superseded_cache.stab(stab)
-                if self._superseded_cache is not None
-                else self._superseded.stab(stab)
-            )
-            for record in superseded:
+            for record in self._superseded_cache.stab(stab):
                 if record.element.kappa <= upper < record.b_kappa:
                     results.append(record.element)
         results.sort(key=lambda e: e.kappa)
@@ -547,11 +535,8 @@ class N1N2Skyline:
         knob, or the library default when unset)."""
         return self._batch_chunk
 
-    def cache_stats(self) -> Optional[Dict[str, int]]:
-        """Combined hit/miss/rebuild counters of the two stab caches
-        (``None`` when caching is disabled)."""
-        if self._live_cache is None or self._superseded_cache is None:
-            return None
+    def cache_stats(self) -> Dict[str, int]:
+        """Combined hit/miss/rebuild counters of the two stab memos."""
         merged = dict(self._live_cache.stats())
         for key, value in self._superseded_cache.stats().items():
             merged[key] += value

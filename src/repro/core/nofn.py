@@ -23,7 +23,8 @@ Per arrival, :meth:`append` runs Algorithm 1:
 
 :meth:`query` then answers an n-of-N query as a **stabbing query**
 (Theorem 3): stab the interval tree with ``M - n + 1`` and report the
-elements owning the stabbed intervals — ``O(log N + s)`` behaviour.
+elements owning the stabbed intervals — one vectorised pass over the
+interval slots, memoized per elementary span.
 
 The label/threshold machinery is factored into small overridable hooks
 so :class:`repro.core.timewindow.TimeWindowSkyline` can reuse the whole
@@ -97,14 +98,6 @@ class NofNSkyline:
         ``"full"``, or a ready-made
         :class:`~repro.sanitize.InvariantSanitizer` to share between
         engines.  See :mod:`repro.sanitize`.
-    query_cache:
-        When true (the default), :meth:`query` answers through a
-        :class:`~repro.accel.stab_cache.StabCache` — one vectorised
-        stab over the interval tree's write-maintained slot arrays, with
-        per-span memoization — instead of stabbing the red-black tree
-        per call.  Invalidation
-        is exact (every structural write bumps the tree version), so
-        answers are always identical to the uncached path.
     batch_chunk:
         Slice size of the :meth:`append_many` pipeline (``None`` — the
         default — means :data:`repro.accel.batch_prefilter.CHUNK`).
@@ -127,7 +120,6 @@ class NofNSkyline:
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         batch_chunk: Optional[int] = None,
     ) -> None:
         if capacity < 1:
@@ -145,12 +137,10 @@ class NofNSkyline:
         self._rtree = SoARTree(
             dim, max_entries=rtree_max_entries, min_entries=rtree_min_entries
         )
-        # Memoized answers come back pre-sorted in query order, so the
-        # cached query path never re-sorts.
-        self._stab_cache: Optional[StabCache[_Record]] = (
-            StabCache(self._intervals, sort_key=_record_kappa)
-            if query_cache
-            else None
+        # Queries stab through a per-span memo (Theorem 3); answers come
+        # back sorted by kappa, so the query path never re-sorts.
+        self._stab_cache: StabCache[_Record] = StabCache(
+            self._intervals, sort_key=_record_kappa
         )
         self.stats = EngineStats()
 
@@ -597,11 +587,7 @@ class NofNSkyline:
         if stab is None:
             self.stats.record_query(0)
             return []
-        if self._stab_cache is not None:
-            records = self._stab_cache.stab(stab)  # pre-sorted by kappa
-        else:
-            records = self._intervals.stab(stab)
-            records.sort(key=_record_kappa)
+        records = self._stab_cache.stab(stab)  # sorted by kappa
         self.stats.record_query(len(records))
         return [r.element for r in records]
 
@@ -623,8 +609,8 @@ class NofNSkyline:
 
     def query_scan(self, n: int) -> List[StreamElement]:
         """Ablation/debug variant of :meth:`query`: answer by scanning
-        ``R_N`` and applying Theorem 3 directly, without the interval
-        tree — ``O(|R_N|)`` instead of ``O(log N + s)``.
+        ``R_N`` in Python and applying Theorem 3 directly, without the
+        interval tree.
 
         Returns exactly what :meth:`query` returns; exists so the
         benchmarks can price the interval-tree design choice and so
@@ -679,8 +665,8 @@ class NofNSkyline:
         return self._intervals.version
 
     @property
-    def stab_cache(self) -> Optional[StabCache[_Record]]:
-        """The query cache, or ``None`` when ``query_cache=False``."""
+    def stab_cache(self) -> StabCache[_Record]:
+        """The stab memo every :meth:`query` answers through."""
         return self._stab_cache
 
     @property
@@ -689,11 +675,8 @@ class NofNSkyline:
         knob, with ``None`` resolved to the module default)."""
         return self._batch_chunk
 
-    def cache_stats(self) -> Optional[Dict[str, int]]:
-        """Hit/miss/rebuild counters of the query cache (``None`` when
-        caching is disabled)."""
-        if self._stab_cache is None:
-            return None
+    def cache_stats(self) -> Dict[str, int]:
+        """Hit/miss/rebuild counters of the stab memo."""
         return self._stab_cache.stats()
 
     def non_redundant(self) -> List[StreamElement]:

@@ -151,12 +151,10 @@ class LinearScanNofNSkyline(NofNSkyline):
         dim: int,
         capacity: int,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         **_ignored: object,
     ) -> None:
-        # The stab cache lives on the interval tree, so it applies to
-        # this variant unchanged; R-tree tuning does not, and is
-        # absorbed by ``_ignored``.
-        super().__init__(dim, capacity, sanitize=sanitize, query_cache=query_cache)
+        # R-tree tuning does not apply to this variant, and is absorbed
+        # by ``_ignored``.
+        super().__init__(dim, capacity, sanitize=sanitize)
         # Swap the spatial index for the flat scan structure.
         self._rtree = _ScanIndex(dim)  # type: ignore[assignment]

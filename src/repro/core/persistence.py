@@ -118,7 +118,6 @@ def _snapshot_sharded(
             "max_entries": router._rtree_config["rtree_max_entries"],
             "min_entries": router._rtree_config["rtree_min_entries"],
         },
-        "query": {"cache": router._query_cache},
         "batch_chunk": router.batch_chunk,
         "replicas": {
             "mode": router.replica_mode,
@@ -152,7 +151,6 @@ def _snapshot_nofn(engine: NofNSkyline) -> Dict[str, Any]:
         "records": records,
         "stats": engine.stats.snapshot_raw(),
         "rtree": _rtree_config(engine),
-        "query": _query_config(engine),
         "batch_chunk": engine.batch_chunk,
         "sanitize": engine.sanitize_mode,
     }
@@ -172,16 +170,6 @@ def _rtree_config(engine: Union[NofNSkyline, N1N2Skyline]) -> Dict[str, Any]:
         "max_entries": int(getattr(index, "max_entries", 12)),
         "min_entries": int(getattr(index, "min_entries", 4)),
     }
-
-
-def _query_config(engine: Union[NofNSkyline, N1N2Skyline]) -> Dict[str, Any]:
-    """The engine's query fast-path knobs, so :func:`restore` rebuilds
-    with the caching choice the operator made."""
-    if isinstance(engine, N1N2Skyline):
-        cache = engine._live_cache is not None
-    else:
-        cache = engine._stab_cache is not None
-    return {"cache": cache}
 
 
 def _snapshot_n1n2(engine: N1N2Skyline) -> Dict[str, Any]:
@@ -207,7 +195,6 @@ def _snapshot_n1n2(engine: N1N2Skyline) -> Dict[str, Any]:
         "records": records,
         "stats": engine.stats.snapshot_raw(),
         "rtree": _rtree_config(engine),
-        "query": _query_config(engine),
         "batch_chunk": engine.batch_chunk,
         "sanitize": engine.sanitize_mode,
     }
@@ -262,6 +249,10 @@ def restore(
     override the recorded topology — restoring a 4-shard snapshot with
     ``shards=2`` re-shards the stream on load (and vice versa); every
     query answers identically either way.
+
+    Older snapshots may carry a ``query`` dict (the stab-cache switch
+    ``cache`` and a leaf-kernel policy ``kernels``, knobs the library no
+    longer has); it is accepted and ignored.
     """
     _require(isinstance(snap, dict), "snapshot must be a dict")
     if snap.get("format") != FORMAT_VERSION:
@@ -279,7 +270,6 @@ def restore(
                 snap["capacity"],
                 sanitize=sanitize,
                 **_rtree_kwargs(snap),
-                **_query_kwargs(snap),
                 **_batch_kwargs(snap),
             ),
         )
@@ -289,7 +279,6 @@ def restore(
             snap["horizon"],
             sanitize=sanitize,
             **_rtree_kwargs(snap),
-            **_query_kwargs(snap),
             **_batch_kwargs(snap),
         )
         engine._now = float(snap["now"])
@@ -348,7 +337,6 @@ def _restore_sharded(
         backend=chosen,
         sanitize=sanitize,
         **_rtree_kwargs(snap),
-        **_query_kwargs(snap),
         **_batch_kwargs(snap),
         **_replica_kwargs(snap, chosen),
     )
@@ -428,19 +416,6 @@ def _batch_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
     return {"batch_chunk": None if raw is None else int(raw)}
 
 
-def _query_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
-    """Query fast-path kwargs from a snapshot.
-
-    Snapshots written before the knobs were recorded lack the "query"
-    key; they restore with the cache on.  Older snapshots also carry
-    ``kernels`` (a leaf-kernel policy the library no longer has); it is
-    accepted and ignored.
-    """
-    raw = snap.get("query", {})
-    _require(isinstance(raw, dict), '"query" must be a dict when present')
-    return {"query_cache": bool(raw.get("cache", True))}
-
-
 def _restore_nofn(snap: Dict[str, Any], engine: NofNSkyline) -> NofNSkyline:
     engine._m = int(snap["seen_so_far"])
     by_kappa: Dict[int, _Record] = {}
@@ -484,7 +459,6 @@ def _restore_n1n2(
         snap["capacity"],
         sanitize=sanitize,
         **_rtree_kwargs(snap),
-        **_query_kwargs(snap),
         **_batch_kwargs(snap),
     )
     engine._m = int(snap["seen_so_far"])

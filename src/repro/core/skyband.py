@@ -102,12 +102,11 @@ class KSkybandEngine:
         Runtime invariant checking: ``"off"`` (default), ``"sampled"``,
         ``"full"``, or a shared
         :class:`~repro.sanitize.InvariantSanitizer`.
-    query_cache / batch_chunk:
-        Query and batched-ingest knobs (see
-        :class:`~repro.core.nofn.NofNSkyline`): the versioned stab
-        cache behind :meth:`query` and the :meth:`append_many` slice
-        size (clamped to ``capacity`` here so
-        no chunk member can expire before its in-chunk pruner arrives).
+    batch_chunk:
+        The :meth:`append_many` slice size (see
+        :class:`~repro.core.nofn.NofNSkyline`), clamped to ``capacity``
+        here so no chunk member can expire before its in-chunk pruner
+        arrives.
     """
 
     def __init__(
@@ -118,7 +117,6 @@ class KSkybandEngine:
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         batch_chunk: Optional[int] = None,
     ) -> None:
         if capacity < 1:
@@ -139,12 +137,10 @@ class KSkybandEngine:
         self._rtree = SoARTree(
             dim, max_entries=rtree_max_entries, min_entries=rtree_min_entries
         )
-        # Memoized answers come back pre-sorted in query order, so the
-        # cached query path never re-sorts.
-        self._stab_cache: Optional[StabCache[_BandRecord]] = (
-            StabCache(self._intervals, sort_key=_band_record_kappa)
-            if query_cache
-            else None
+        # Queries stab through a per-span memo; answers come back
+        # sorted by kappa, so the query path never re-sorts.
+        self._stab_cache: StabCache[_BandRecord] = StabCache(
+            self._intervals, sort_key=_band_record_kappa
         )
         self.stats = EngineStats()
 
@@ -514,11 +510,7 @@ class KSkybandEngine:
             self.stats.record_query(0)
             return []
         stab = max(1, self._m - n + 1)
-        if self._stab_cache is not None:
-            records = self._stab_cache.stab(stab)  # pre-sorted by kappa
-        else:
-            records = self._intervals.stab(stab)
-            records.sort(key=_band_record_kappa)
+        records = self._stab_cache.stab(stab)  # sorted by kappa
         self.stats.record_query(len(records))
         return [r.element for r in records]
 
@@ -577,8 +569,8 @@ class KSkybandEngine:
         return self._intervals.version
 
     @property
-    def stab_cache(self) -> Optional[StabCache[_BandRecord]]:
-        """The query cache, or ``None`` when ``query_cache=False``."""
+    def stab_cache(self) -> StabCache[_BandRecord]:
+        """The stab memo every :meth:`query` answers through."""
         return self._stab_cache
 
     @property
@@ -587,9 +579,6 @@ class KSkybandEngine:
         knob, or the library default when unset)."""
         return self._batch_chunk
 
-    def cache_stats(self) -> Optional[Dict[str, int]]:
-        """Hit/miss/rebuild counters of the query cache (``None`` when
-        caching is disabled)."""
-        if self._stab_cache is None:
-            return None
+    def cache_stats(self) -> Dict[str, int]:
+        """Hit/miss/rebuild counters of the stab memo."""
         return self._stab_cache.stats()

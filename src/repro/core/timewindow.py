@@ -45,10 +45,9 @@ class TimeWindowSkyline(NofNSkyline):
     sanitize:
         Runtime invariant checking, forwarded verbatim (see
         :mod:`repro.sanitize`).
-    query_cache / batch_chunk:
-        Query and batched-ingest knobs, forwarded verbatim (see
-        :class:`~repro.core.nofn.NofNSkyline`); :meth:`query_last`
-        answers through the versioned stab cache when enabled.
+    batch_chunk:
+        The batched-ingest slice size, forwarded verbatim (see
+        :class:`~repro.core.nofn.NofNSkyline`).
     """
 
     def __init__(
@@ -58,7 +57,6 @@ class TimeWindowSkyline(NofNSkyline):
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         batch_chunk: Optional[int] = None,
     ) -> None:
         if horizon <= 0:
@@ -70,7 +68,6 @@ class TimeWindowSkyline(NofNSkyline):
             rtree_max_entries=rtree_max_entries,
             rtree_min_entries=rtree_min_entries,
             sanitize=sanitize,
-            query_cache=query_cache,
             batch_chunk=batch_chunk,
         )
         self.horizon = float(horizon)
@@ -187,11 +184,7 @@ class TimeWindowSkyline(NofNSkyline):
             # point at or below the oldest live label reports exactly
             # the dominance-graph roots.
             stab = self._labels.oldest()[0]
-        if self._stab_cache is not None:
-            records = self._stab_cache.stab(stab)  # pre-sorted by kappa
-        else:
-            records = self._intervals.stab(stab)
-            records.sort(key=lambda r: r.element.kappa)
+        records = self._stab_cache.stab(stab)  # sorted by kappa
         self.stats.record_query(len(records))
         return [r.element for r in records]
 

@@ -278,8 +278,7 @@ def export_shard_state(engine: Any) -> _ShardState:
     """Snapshot a shard engine's stab state for publication.
 
     The low-sorted interval arrays come from the interval tree's
-    write-maintained slot view (one ``lexsort`` compaction, whether or
-    not the engine has a query cache).  The retained table
+    slot arrays (one ``lexsort`` compaction).  The retained table
     (kappa-ascending) carries the merge witnesses for the k-skyband
     path.
     """

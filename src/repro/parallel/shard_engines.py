@@ -33,8 +33,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.element import StreamElement
 from repro.core.events import ArrivalOutcome, BatchOutcome
-from repro.core.nofn import NofNSkyline, _record_kappa
-from repro.core.skyband import KSkybandEngine, _band_record_kappa
+from repro.core.nofn import NofNSkyline
+from repro.core.skyband import KSkybandEngine
 from repro.exceptions import DimensionMismatchError, ReproError
 from repro.sanitize.sanitizer import SanitizeArg
 
@@ -61,7 +61,6 @@ class ShardNofNEngine(NofNSkyline):
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         batch_chunk: Optional[int] = None,
     ) -> None:
         if stride < 1:
@@ -72,7 +71,6 @@ class ShardNofNEngine(NofNSkyline):
             rtree_max_entries=rtree_max_entries,
             rtree_min_entries=rtree_min_entries,
             sanitize=sanitize,
-            query_cache=query_cache,
             batch_chunk=batch_chunk,
         )
         self._stride = stride
@@ -145,11 +143,7 @@ class ShardNofNEngine(NofNSkyline):
         if self._m == 0:
             self.stats.record_query(0)
             return []
-        if self._stab_cache is not None:
-            records = self._stab_cache.stab(stab)  # pre-sorted by kappa
-        else:
-            records = self._intervals.stab(stab)
-            records.sort(key=_record_kappa)
+        records = self._stab_cache.stab(stab)  # sorted by kappa
         self.stats.record_query(len(records))
         return [r.element for r in records]
 
@@ -182,7 +176,6 @@ class ShardKSkybandEngine(KSkybandEngine):
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         batch_chunk: Optional[int] = None,
     ) -> None:
         if stride < 1:
@@ -194,7 +187,6 @@ class ShardKSkybandEngine(KSkybandEngine):
             rtree_max_entries=rtree_max_entries,
             rtree_min_entries=rtree_min_entries,
             sanitize=sanitize,
-            query_cache=query_cache,
             batch_chunk=batch_chunk,
         )
         self._stride = stride
@@ -267,11 +259,7 @@ class ShardKSkybandEngine(KSkybandEngine):
         if self._m == 0:
             self.stats.record_query(0)
             return []
-        if self._stab_cache is not None:
-            records = self._stab_cache.stab(stab)  # pre-sorted by kappa
-        else:
-            records = self._intervals.stab(stab)
-            records.sort(key=_band_record_kappa)
+        records = self._stab_cache.stab(stab)  # sorted by kappa
         self.stats.record_query(len(records))
         return [r.element for r in records]
 
@@ -307,7 +295,6 @@ def build_shard_engine(spec: Mapping[str, Any]) -> ShardEngine:
         "rtree_max_entries": spec["rtree_max_entries"],
         "rtree_min_entries": spec["rtree_min_entries"],
         "sanitize": spec["sanitize"],
-        "query_cache": spec["query_cache"],
         # Older specs lack the key; ``None`` resolves to the default.
         "batch_chunk": spec.get("batch_chunk"),
     }

@@ -66,7 +66,6 @@ class _ShardedRouter:
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         timeout: float = 120.0,
         replicas: str = "auto",
         replica_lag: Optional[int] = 0,
@@ -105,7 +104,6 @@ class _ShardedRouter:
             "rtree_max_entries": rtree_max_entries,
             "rtree_min_entries": rtree_min_entries,
         }
-        self._query_cache = query_cache
         self._batch_chunk = resolve_batch_chunk(batch_chunk)
         self.replica_mode = replicas
         self.replica_lag = replica_lag
@@ -140,7 +138,6 @@ class _ShardedRouter:
             "rtree_max_entries": self._rtree_config["rtree_max_entries"],
             "rtree_min_entries": self._rtree_config["rtree_min_entries"],
             "sanitize": self.sanitize_mode,
-            "query_cache": self._query_cache,
             "batch_chunk": self._batch_chunk,
         }
 
@@ -392,17 +389,11 @@ class _ShardedRouter:
             "shards": per_shard,
         }
 
-    def cache_stats(self) -> Optional[Dict[str, int]]:
-        """Aggregated stab-cache counters across shards (``None`` when
-        caching is disabled)."""
-        if not self._query_cache:
-            return None
+    def cache_stats(self) -> Dict[str, int]:
+        """Aggregated stab-memo counters across shards."""
         totals: Dict[str, int] = {}
         for bundle in self._executor.introspect_all():
-            cache = bundle["cache"]
-            if cache is None:
-                return None
-            for key, value in cache.items():
+            for key, value in bundle["cache"].items():
                 totals[key] = totals.get(key, 0) + int(value)
         return totals
 
@@ -516,7 +507,6 @@ class ShardedKSkyband(_ShardedRouter):
         rtree_max_entries: int = 12,
         rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         timeout: float = 120.0,
         replicas: str = "auto",
         replica_lag: Optional[int] = 0,
@@ -533,7 +523,6 @@ class ShardedKSkyband(_ShardedRouter):
             rtree_max_entries=rtree_max_entries,
             rtree_min_entries=rtree_min_entries,
             sanitize=sanitize,
-            query_cache=query_cache,
             timeout=timeout,
             replicas=replicas,
             replica_lag=replica_lag,

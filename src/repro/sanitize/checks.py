@@ -37,9 +37,8 @@ The invariant catalogue (the ``invariant`` field of the report):
                     time, and every group's member set equals a
                     brute-force per-window replay over the manager's
                     dominance-forest mirror (valid mid-batch)
-``stab-cache``      the versioned query cache's answer at each tested
-                    stab point equals a fresh stab of the live interval
-                    tree (checked whenever a cache is attached)
+``stab-cache``      the stab memo's answer at each tested stab point
+                    equals a fresh stab of the live interval tree
 ``shard-merge``     a sharded router's fan-out/merge answer equals a
                     brute-force oracle over the union of the shards'
                     retained in-window elements (which provably equals
@@ -52,8 +51,7 @@ The invariant catalogue (the ``invariant`` field of the report):
 ================== ====================================================
 
 plus the structure-level invariants raised by the structures themselves
-(``rbtree-*``, ``max-high-augmentation``, ``interval-slots``,
-``labelset-*``, ``heap-*``,
+(``interval-slots``, ``labelset-*``, ``heap-*``,
 ``rtree-*`` — raised by the SoA dominance index
 (:class:`~repro.structures.rtree_soa.SoARTree`), including
 ``rtree-kernel-cache``, a pooled coordinate/kappa row that no longer
@@ -117,10 +115,7 @@ def _check_stab_cache_at(
     cache: object, stab: float, expected: List[int], name: str
 ) -> None:
     """Compare a :class:`~repro.accel.stab_cache.StabCache` answer at
-    ``stab`` against ``expected`` kappas from the live interval tree
-    (``cache`` may be ``None`` when caching is disabled)."""
-    if cache is None:
-        return
+    ``stab`` against ``expected`` kappas from the live interval tree."""
     cached = sorted(r.element.kappa for r in cache.stab(stab))  # type: ignore[attr-defined]
     if cached != expected:
         raise corruption(
@@ -219,22 +214,22 @@ def _check_nofn_state(engine: "NofNSkyline", name: str) -> None:
                 kappas=(kappa,),
                 engine=name,
             )
-        interval = record.handle.interval
-        if interval.high != record.label:
+        low, high = engine._intervals.endpoints(record.handle)
+        if high != record.label:
             raise corruption(
                 "engine",
                 "interval-encoding",
-                f"element {kappa}: interval high {interval.high} != "
+                f"element {kappa}: interval high {high} != "
                 f"label {record.label}",
                 kappas=(kappa,),
                 engine=name,
             )
         if record.parent_kappa == 0:
-            if interval.low != 0.0:
+            if low != 0.0:
                 raise corruption(
                     "engine",
                     "interval-encoding",
-                    f"root {kappa}: interval low {interval.low} != 0",
+                    f"root {kappa}: interval low {low} != 0",
                     kappas=(kappa,),
                     engine=name,
                 )
@@ -267,11 +262,11 @@ def _check_nofn_state(engine: "NofNSkyline", name: str) -> None:
                     kappas=(kappa, record.parent_kappa),
                     engine=name,
                 )
-            if interval.low != parent.label:
+            if low != parent.label:
                 raise corruption(
                     "engine",
                     "interval-encoding",
-                    f"element {kappa}: interval low {interval.low} != "
+                    f"element {kappa}: interval low {low} != "
                     f"parent label {parent.label}",
                     kappas=(kappa, record.parent_kappa),
                     engine=name,
@@ -448,16 +443,14 @@ def verify_n1n2(engine: "N1N2Skyline") -> None:
                 kappas=(kappa,),
                 engine=name,
             )
-        interval = record.handle.interval
-        if interval.high != float(kappa) or interval.low != float(
-            record.a_kappa
-        ):
+        tree = engine._live if record.in_rn else engine._superseded
+        low, high = tree.endpoints(record.handle)
+        if high != float(kappa) or low != float(record.a_kappa):
             raise corruption(
                 "engine",
                 "interval-encoding",
-                f"element {kappa}: interval ({interval.low}, "
-                f"{interval.high}] != ({float(record.a_kappa)}, "
-                f"{float(kappa)}]",
+                f"element {kappa}: interval ({low}, {high}] != "
+                f"({float(record.a_kappa)}, {float(kappa)}]",
                 kappas=(kappa,),
                 engine=name,
             )
@@ -679,14 +672,14 @@ def verify_skyband(engine: "KSkybandEngine") -> None:
                 kappas=(kappa,),
                 engine=name,
             )
-        interval = record.handle.interval
+        low, high = engine._intervals.endpoints(record.handle)
         expected_low = float(engine._threshold_kappa(record))
-        if interval.high != float(kappa) or interval.low != expected_low:
+        if high != float(kappa) or low != expected_low:
             raise corruption(
                 "engine",
                 "interval-encoding",
-                f"element {kappa}: interval ({interval.low}, "
-                f"{interval.high}] != ({expected_low}, {float(kappa)}]",
+                f"element {kappa}: interval ({low}, {high}] != "
+                f"({expected_low}, {float(kappa)}]",
                 kappas=(kappa,),
                 engine=name,
             )

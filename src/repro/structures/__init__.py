@@ -2,35 +2,31 @@
 
 Everything here is self-contained and paper-faithful:
 
-* :mod:`repro.structures.rbtree` — augmentable red-black tree;
-* :mod:`repro.structures.interval_tree` — dynamic stabbing-query tree;
+* :mod:`repro.structures.interval_tree` — the stabbing-query structure:
+  write-maintained slot arrays with a vectorised stab;
 * :mod:`repro.structures.rtree_soa` — the dominance index over
   ``R_N``: a struct-of-arrays R-tree (pooled NumPy matrices, one level
   of blocks as index ranges) answering the paper's dominance reporting
   and best-first dominator search;
 * :mod:`repro.structures.heap` — indexed min/max heaps (trigger lists);
-* :mod:`repro.structures.mbr` — bounding-box algebra incl. Figure 7's
-  candidate-region tests;
-* :mod:`repro.structures.labelset` — the ordered label set of Figure 6.
+* :mod:`repro.structures.labelset` — the ordered label set of Figure 6;
+* :mod:`repro.structures.rbtree` — augmentable red-black tree, the
+  substrate of the Kapoor 2-d baseline
+  (:mod:`repro.baselines.dynamic2d`) only.
 """
 
 from repro.structures.heap import IndexedHeap, MaxIndexedHeap, MinIndexedHeap
-from repro.structures.interval_tree import Interval, IntervalHandle, IntervalTree
+from repro.structures.interval_tree import IntervalHandle, IntervalTree
 from repro.structures.labelset import LabelSet
-from repro.structures.mbr import MBR
-from repro.structures.rbtree import RedBlackTree
 from repro.structures.rtree_soa import SoAEntry, SoARTree
 
 __all__ = [
     "IndexedHeap",
     "MaxIndexedHeap",
     "MinIndexedHeap",
-    "Interval",
     "IntervalHandle",
     "IntervalTree",
     "LabelSet",
-    "MBR",
-    "RedBlackTree",
     "SoAEntry",
     "SoARTree",
 ]

@@ -164,10 +164,6 @@ class SoARTree:
             raise KeyNotFoundError(f"no entry with kappa={kappa}")
         return entry
 
-    def height(self) -> int:
-        """Always 1: the SoA index is a single level of blocks."""
-        return 1
-
     def active_blocks(self) -> int:
         """Number of non-empty blocks (introspection/benchmarks)."""
         return int((self._blk_len > 0).sum())
@@ -611,49 +607,6 @@ class SoARTree:
                 best_kappa = int(kappas[top])
                 best = self._rows[start + int(idx[top])]
         return best
-
-    def top_kappa_dominators(
-        self, q: Sequence[float], k: int
-    ) -> List[SoAEntry]:
-        """The ``k`` youngest entries weakly dominating ``q``, youngest
-        first (fewer if fewer exist).
-
-        One vectorised sweep gathers every dominator, then a partial
-        sort picks the top ``k`` — cheaper than ``k`` repeated
-        best-first searches on this layout.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if len(q) != self.dim:
-            raise DimensionMismatchError(self.dim, len(q))
-        self._refresh()
-        probe = _np.asarray(q, dtype=_np.float64)
-        active = _np.flatnonzero(self._blk_len > 0)
-        if active.size == 0:
-            return []
-        mask = (self._blk_lower[active] <= probe).all(axis=1)
-        cand = active[mask]
-        cap = self.block_capacity
-        rows: List[int] = []
-        kappas: List[int] = []
-        for b in cand.tolist():
-            start = b * cap
-            length = int(self._blk_len[b])
-            hit = _np.flatnonzero(
-                (self._points[start:start + length] <= probe).all(axis=1)
-            )
-            for i in hit.tolist():
-                rows.append(start + i)
-                kappas.append(int(self._kappas[start + i]))
-        if not rows:
-            return []
-        order = _np.argsort(_np.asarray(kappas, dtype=_np.int64))[::-1][:k]
-        found: List[SoAEntry] = []
-        for i in order.tolist():
-            owner = self._rows[rows[i]]
-            if owner is not None:
-                found.append(owner)
-        return found
 
     # ------------------------------------------------------------------
     # Bulk maintenance (batched-ingest pipeline)

@@ -1,39 +1,59 @@
-"""Unit and property tests for the stabbing-query interval tree."""
+"""Unit and property tests for the stabbing-query interval structure.
+
+The reference for every stab is :func:`reference_stab`, a pure-Python
+scan over the live handles' ``(low, high]``.
+"""
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InvalidIntervalError
-from repro.structures.interval_tree import Interval, IntervalTree
+from repro.structures.interval_tree import IntervalTree
+
+
+def reference_stab(live, t, key=None):
+    """Payloads of ``live`` (handle -> ``(low, high, payload)``) with
+    ``low < t <= high``: ordered by ``key`` when given, otherwise by
+    ``(low, high, slot)`` — the order :meth:`IntervalTree.stab`
+    documents."""
+    hits = [
+        (low, high, handle._slot, data)
+        for handle, (low, high, data) in live.items()
+        if low < t <= high
+    ]
+    if key is not None:
+        return sorted((hit[3] for hit in hits), key=key)
+    return [hit[3] for hit in sorted(hits, key=lambda hit: hit[:3])]
 
 
 class TestInterval:
     def test_half_open_membership(self):
-        interval = Interval(2.0, 5.0, "x")
-        assert not interval.contains(2.0)  # open at the low end
-        assert interval.contains(2.0001)
-        assert interval.contains(5.0)  # closed at the high end
-        assert not interval.contains(5.0001)
+        tree = IntervalTree()
+        tree.insert(2.0, 5.0, "x")
+        assert tree.stab(2.0) == []  # open at the low end
+        assert tree.stab(2.0001) == ["x"]
+        assert tree.stab(5.0) == ["x"]  # closed at the high end
+        assert tree.stab(5.0001) == []
 
     def test_degenerate_interval_rejected(self):
+        tree = IntervalTree()
         with pytest.raises(InvalidIntervalError):
-            Interval(3.0, 3.0, None)
+            tree.insert(3.0, 3.0, "a")
         with pytest.raises(InvalidIntervalError):
-            Interval(4.0, 3.0, None)
+            tree.insert(4.0, 3.0, "a")
+        assert len(tree) == 0 and tree.version == 0
+        tree.check_invariants()
 
     def test_infinite_high_allowed(self):
-        interval = Interval(0.0, math.inf, "live")
-        assert interval.contains(1e12)
-
-    def test_repr(self):
-        assert "(1.0, 2.0]" in repr(Interval(1.0, 2.0, "p"))
+        tree = IntervalTree()
+        tree.insert(0.0, math.inf, "live")
+        assert tree.stab(1e12) == ["live"]
 
 
 class TestStabbing:
@@ -62,14 +82,7 @@ class TestStabbing:
         assert sorted(tree.stab(3)) == ["a", "b"]
         tree.remove(a)
         assert tree.stab(3) == ["b"]
-        assert b.interval.data == "b"
-
-    def test_stab_intervals_returns_objects(self):
-        tree = IntervalTree()
-        tree.insert(0, 2, "x")
-        [interval] = tree.stab_intervals(1)
-        assert isinstance(interval, Interval)
-        assert interval.high == 2
+        assert tree.endpoints(b) == (1.0, 5.0)
 
     def test_infinite_intervals_always_stabbed_above_low(self):
         tree = IntervalTree()
@@ -92,15 +105,18 @@ class TestUpdates:
         h = tree.insert(4, 9, "child")
         h2 = tree.replace(h, 0, 9)
         assert tree.stab(2) == ["child"]
-        assert h2.interval.data == "child"
+        assert tree.endpoints(h2) == (0.0, 9.0)
         assert len(tree) == 1
 
     def test_len_and_iteration(self):
         tree = IntervalTree()
-        tree.insert(0, 1, "a")
         tree.insert(0, 2, "b")
+        tree.insert(0, 1, "a")
         assert len(tree) == 2 and bool(tree)
-        assert [i.data for i in tree.intervals()] == ["a", "b"]
+        lows, highs, data = tree.sorted_slots()
+        assert (lows.tolist(), highs.tolist(), data) == (
+            [0.0, 0.0], [1.0, 2.0], ["a", "b"]
+        )
 
     def test_many_updates_keep_invariants(self):
         tree = IntervalTree()
@@ -141,50 +157,11 @@ class TestVersioning:
         tree.insert(0, 5, "a")
         v = tree.version
         tree.stab(3)
-        tree.stab_intervals(3)
-        list(tree.intervals())
+        tree.sorted_slots()
+        tree.slots()
         len(tree)
         tree.check_invariants()
         assert tree.version == v
-
-
-class TestIterativeStab:
-    def test_stab_survives_tight_recursion_limit(self):
-        """Pins the stab walk as iterative: a per-node recursion over a
-        tree this deep would blow a recursion limit set just above the
-        current frame depth."""
-        tree = IntervalTree()
-        for i in range(4096):
-            tree.insert(i, i + 0.5, i)
-
-        # Tree height, measured iteratively via the internals.
-        from repro.structures.rbtree import NIL
-
-        depth = 0
-        stack = [(tree._tree.root, 1)]
-        while stack:
-            node, d = stack.pop()
-            if node is NIL:
-                continue
-            depth = max(depth, d)
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-        assert depth >= 12  # recursion would need at least this many frames
-
-        frames = 0
-        frame = sys._getframe()
-        while frame is not None:
-            frames += 1
-            frame = frame.f_back
-        limit = sys.getrecursionlimit()
-        try:
-            sys.setrecursionlimit(frames + 10)
-            hits = tree.stab(1000.25)
-            objects = tree.stab_intervals(1000.25)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert hits == [1000]
-        assert [i.data for i in objects] == [1000]
 
 
 intervals_strategy = st.lists(
@@ -225,3 +202,59 @@ class TestStabbingProperties:
             tree.check_invariants()
         assert len(tree) == 0
         assert tree.stab(5) == []
+
+
+endpoint = st.integers(0, 6)
+write = st.one_of(
+    st.tuples(st.just("insert"), endpoint, st.integers(1, 4), st.booleans()),
+    st.tuples(st.just("remove"), st.integers(0, 10**6)),
+    st.tuples(st.just("replace"), st.integers(0, 10**6), endpoint, st.integers(1, 4)),
+    st.tuples(st.just("key")),
+)
+#: Stab points on, between and outside the endpoint grid.
+STABS = (-1, 0, 0.5, 1, 2.5, 3, 4, 5.5, 7, 9, 11, 1e9)
+
+
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(write, min_size=1, max_size=60), st.integers(0, 90))
+    def test_stab_matches_reference_under_interleaving(self, writes, preload):
+        """Random inserts, removals and endpoint swaps (duplicate
+        endpoints, ``inf`` highs, slot reuse, growth past the initial
+        capacity), with a sort key attached mid-life whose values turn
+        from ``int`` to ``float`` partway (promoting the key array to
+        objects): after every step the stab at each point equals the
+        reference and the slots pass their own check."""
+        tree = IntervalTree()
+        live = {}
+        for i in range(preload):
+            low = float(i % 7)
+            live[tree.insert(low, low + 1.0, i)] = (low, low + 1.0, i)
+        next_id = preload
+        key = None
+        for op in writes:
+            if op[0] == "insert":
+                _, low, width, unbounded = op
+                high = math.inf if unbounded else float(low + width)
+                live[tree.insert(float(low), high, next_id)] = (
+                    float(low), high, next_id,
+                )
+                next_id += 1
+            elif op[0] == "key":
+                if key is None:
+                    promote_at = next_id + 3
+                    key = lambda d: -d if d < promote_at else float(-d)
+                    tree.set_sort_key(key)
+            elif live:
+                handles = list(live)
+                handle = handles[op[1] % len(handles)]
+                _, _, data = live.pop(handle)
+                if op[0] == "remove":
+                    tree.remove(handle)
+                else:
+                    low, high = float(op[2]), float(op[2] + op[3])
+                    live[tree.replace(handle, low, high)] = (low, high, data)
+            tree.check_invariants()
+            assert len(tree) == len(live)
+            for t in STABS:
+                assert tree.stab(t) == reference_stab(live, t, key)

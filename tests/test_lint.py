@@ -53,9 +53,6 @@ class TestRepro002InlineDominance:
     def test_dominance_module_is_exempt(self):
         assert codes(self.OFFENDER, path="src/repro/core/dominance.py") == []
 
-    def test_mbr_module_is_exempt(self):
-        assert codes(self.OFFENDER, path="src/repro/structures/mbr.py") == []
-
     def test_zip_without_comparison_is_clean(self):
         src = "def add(a, b):\n    return tuple(x + y for x, y in zip(a, b))\n"
         assert codes(src) == []

@@ -305,10 +305,13 @@ class TestRTreeConfigRoundTrip:
 class TestLegacyIndexKeys:
     """Snapshots written while the library offered a choice of R-tree
     layout, split policy and leaf kernels carry ``rtree.split``,
-    ``rtree.layout`` and ``query.kernels``.  The committed fixtures were
-    written by that version (pointer layout, R* split, kernels off) from
-    :data:`POINTS` with ``capacity=10``; restore must accept the keys,
-    ignore them, and answer exactly like a fresh engine."""
+    ``rtree.layout`` and ``query.kernels``; those written while it
+    offered a stab-cache switch carry ``query.cache``.  The committed
+    fixtures were written by those versions from :data:`POINTS` with
+    ``capacity=10`` (``*_legacy_index_keys``: pointer layout, R* split,
+    kernels off; ``*_query_cache_off``: ``query_cache=False``); restore
+    must accept the keys, ignore them, and answer exactly like a fresh
+    engine."""
 
     POINTS = [
         (float(i * 7 % 10), float((i * 3 + 5) % 11)) for i in range(1, 21)
@@ -318,9 +321,12 @@ class TestLegacyIndexKeys:
 
     def load(self, name):
         snap = json.loads((FIXTURES / name).read_text())
-        assert snap["rtree"]["split"] == "rstar"
-        assert snap["rtree"]["layout"] == "pointer"
-        assert snap["query"]["kernels"] == "off"
+        if "query_cache_off" in name:
+            assert snap["query"] == {"cache": False}
+        else:
+            assert snap["rtree"]["split"] == "rstar"
+            assert snap["rtree"]["layout"] == "pointer"
+            assert snap["query"]["kernels"] == "off"
         return snap
 
     def assert_same_answers(self, clone, fresh):
@@ -331,7 +337,12 @@ class TestLegacyIndexKeys:
 
     @pytest.mark.parametrize(
         "name",
-        ["nofn_legacy_index_keys.json", "sharded_nofn_legacy_index_keys.json"],
+        [
+            "nofn_legacy_index_keys.json",
+            "sharded_nofn_legacy_index_keys.json",
+            "nofn_query_cache_off.json",
+            "sharded_nofn_query_cache_off.json",
+        ],
     )
     def test_fixture_answers_like_a_fresh_engine(self, name):
         snap = self.load(name)
@@ -361,4 +372,4 @@ class TestLegacyIndexKeys:
                 router.append(point)
             for snap in (snapshot(engine), snapshot(router)):
                 assert set(snap["rtree"]) == {"max_entries", "min_entries"}
-                assert set(snap["query"]) == {"cache"}
+                assert "query" not in snap

@@ -162,16 +162,6 @@ class TestSoAParity:
                 )
             soa.check_invariants()
 
-    def test_top_kappa_dominators_matches_brute_force(self):
-        rng = random.Random(9)
-        soa = fed_tree(count=200, dim=3, seed=9)
-        live = {e.kappa: e.point for e in soa.entries()}
-        for _ in range(50):
-            q = tuple(rng.random() for _ in range(3))
-            for k in (1, 3, 10):
-                got = [e.kappa for e in soa.top_kappa_dominators(q, k)]
-                assert got == brute_dominators(live, q)[:k]
-
 
 class TestReportPruning:
     @staticmethod

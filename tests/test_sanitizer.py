@@ -179,12 +179,15 @@ class TestNofNCorruption:
         assert invariant_of(excinfo) == "interval-encoding"
 
     def test_interval_high_tamper_is_tree_augmentation(self):
+        # The slots are the only copy of an interval: a moved high
+        # endpoint still passes the slot check and is caught by the
+        # Theorem-3 encoding check against the label.
         engine = fed_nofn()
         record = next(iter(engine._records.values()))
-        record.handle.interval.high += 7.0
+        engine._intervals._slot_high[record.handle._slot] += 7.0
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
-        assert invariant_of(excinfo) == "max-high-augmentation"
+        assert invariant_of(excinfo) == "interval-encoding"
 
     def test_forged_parent_is_forest(self):
         engine = fed_nofn()
@@ -232,15 +235,17 @@ class TestNofNCorruption:
         for point in points_stream(30, seed=11):
             engine.append(point)
         record = next(iter(engine._records.values()))
-        record.handle.interval.high += 3.0
-        with pytest.raises(StructureCorruptionError):
+        engine._intervals._slot_high[record.handle._slot] += 3.0
+        with pytest.raises(StructureCorruptionError) as excinfo:
             engine.append((0.5, 0.5))
+        assert invariant_of(excinfo) == "interval-encoding"
 
 
 class TestIntervalSlotCorruption:
-    """The interval tree's flat slot view must mirror its red-black
-    tree; ``sanitize="full"`` catches a hand-broken slot or free-list
-    entry on the next arrival."""
+    """The interval slots check themselves (free list, live count,
+    sentinels, well-formed keyed live slots); ``sanitize="full"``
+    catches a hand-broken slot or free-list entry on the next
+    arrival."""
 
     def fed(self):
         return fed_nofn(sanitize="full")
@@ -258,8 +263,13 @@ class TestIntervalSlotCorruption:
         return invariant_of(excinfo)
 
     def test_broken_slot_endpoint(self):
+        # An empty (low >= high) live slot can hold no interval.  (A
+        # well-formed but moved endpoint is the encoding check's job:
+        # ``test_interval_high_tamper_is_tree_augmentation``.)
         engine = self.fed()
-        engine._intervals._slot_high[self.youngest_slot(engine)] += 0.5
+        tree = engine._intervals
+        slot = self.youngest_slot(engine)
+        tree._slot_high[slot] = tree._slot_low[slot]
         assert self.next_arrival_invariant(engine) == "interval-slots"
 
     def test_broken_slot_payload(self):

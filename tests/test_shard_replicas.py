@@ -61,7 +61,7 @@ def no_shm_leaks_across_module():
     assert after - before == set()
 
 
-def nofn_spec(capacity, stride=1, dim=2, query_cache=True):
+def nofn_spec(capacity, stride=1, dim=2):
     return {
         "kind": "nofn",
         "dim": dim,
@@ -70,7 +70,6 @@ def nofn_spec(capacity, stride=1, dim=2, query_cache=True):
         "rtree_max_entries": 12,
         "rtree_min_entries": 4,
         "sanitize": "off",
-        "query_cache": query_cache,
     }
 
 
@@ -83,13 +82,17 @@ def fresh_prefix():
 
 
 class TestPublisherReaderRoundTrip:
-    @pytest.mark.parametrize("query_cache", [True, False])
-    def test_snapshot_matches_engine_everywhere(self, rng, query_cache):
-        engine = build_shard_engine(nofn_spec(25, query_cache=query_cache))
+    @pytest.mark.parametrize("warm_stab_cache", [True, False])
+    def test_snapshot_matches_engine_everywhere(self, rng, warm_stab_cache):
+        engine = build_shard_engine(nofn_spec(25))
         for kappa, point in enumerate(random_points(rng, 2, 80, grid=7), 1):
             engine.ingest(
                 StreamElement(point, kappa, f"p{kappa}" if kappa % 3 else None)
             )
+        if warm_stab_cache:
+            # Export must not depend on whether a query has already
+            # compacted the sorted stab snapshot.
+            engine.stab_elements(56)
         prefix = fresh_prefix()
         publisher = ReplicaPublisher(prefix)
         try:

@@ -21,6 +21,8 @@ from repro.core.nofn import NofNSkyline
 from repro.core.skyband import KSkybandEngine
 from repro.core.timewindow import TimeWindowSkyline
 from repro.structures.interval_tree import IntervalTree
+from tests.conftest import slice_skyline_kappas
+from tests.test_kskyband import oracle as band_oracle
 
 
 class TestStabCacheUnit:
@@ -65,9 +67,8 @@ class TestStabCacheUnit:
         h = tree.insert(0, 5, "a")
         cache = StabCache(tree)
         cache.stab(3)
-        assert cache.is_fresh()
+        assert cache.rebuilds == 1
         tree.insert(1, 6, "b")
-        assert not cache.is_fresh()
         assert sorted(cache.stab(3)) == ["a", "b"]
         assert cache.rebuilds == 2
         tree.remove(h)
@@ -112,16 +113,6 @@ class TestStabCacheUnit:
         with pytest.raises(ValueError):
             StabCache(IntervalTree(), max_memo=0)
 
-    def test_invalidate_forces_rebuild(self):
-        tree = IntervalTree()
-        tree.insert(0, 5, "a")
-        cache = StabCache(tree)
-        cache.stab(3)
-        cache.invalidate()
-        assert not cache.is_fresh()
-        assert cache.stab(3) == ["a"]
-        assert cache.rebuilds == 2
-
     def test_stats_shape(self):
         cache = StabCache(IntervalTree())
         stats = cache.stats()
@@ -147,6 +138,12 @@ operations = st.lists(
 )
 
 
+def interval_set(engine):
+    """The engine's live intervals as sorted ``(low, high)`` pairs."""
+    lows, highs, _ = engine._intervals.sorted_slots()
+    return list(zip(lows.tolist(), highs.tolist()))
+
+
 class TestCachedQueryProperty:
     @settings(max_examples=60, deadline=None)
     @given(operations, st.integers(2, 10))
@@ -157,19 +154,14 @@ class TestCachedQueryProperty:
         ``query_scan`` implementation, and version bumps tracking
         interval-set changes exactly."""
         engine = NofNSkyline(dim=2, capacity=capacity)
-        assert engine.stab_cache is not None
         for kind, points in ops:
             before_version = engine.structure_version
-            before_set = sorted(
-                (i.low, i.high) for i in engine._intervals.intervals()
-            )
+            before_set = interval_set(engine)
             if kind == "append":
                 engine.append(points[0])
             else:
                 engine.append_many(points)
-            after_set = sorted(
-                (i.low, i.high) for i in engine._intervals.intervals()
-            )
+            after_set = interval_set(engine)
             # Arrivals always insert the newcomer's interval (its high
             # endpoint is the fresh label), so the set changed and the
             # version must have moved with it.
@@ -200,26 +192,27 @@ class TestCachedQueryProperty:
             else:
                 engine.append_many(points)
         version = engine.structure_version
-        interval_set = sorted(
-            (i.low, i.high) for i in engine._intervals.intervals()
-        )
+        intervals = interval_set(engine)
         engine.query(1)
         engine.query(capacity)
         engine.query_scan(capacity)
         engine.non_redundant()
         assert engine.structure_version == version
-        assert interval_set == sorted(
-            (i.low, i.high) for i in engine._intervals.intervals()
-        )
+        assert intervals == interval_set(engine)
 
 
 class TestEngineIntegration:
-    def test_query_cache_off_disables_cache(self):
-        engine = NofNSkyline(dim=2, capacity=4, query_cache=False)
-        assert engine.stab_cache is None
-        assert engine.cache_stats() is None
-        engine.append((1, 2))
-        assert [e.kappa for e in engine.query(4)] == [1]
+    def test_every_engine_answers_through_a_stab_cache(self):
+        engines = [
+            NofNSkyline(dim=2, capacity=4),
+            TimeWindowSkyline(dim=2, horizon=4.0),
+            KSkybandEngine(dim=2, capacity=4, k=2),
+        ]
+        for engine in engines:
+            assert isinstance(engine.stab_cache, StabCache)
+        n1n2 = N1N2Skyline(dim=2, capacity=4)
+        for engine in engines + [n1n2]:
+            assert engine.cache_stats()["rebuilds"] == 0
 
     def test_sanitize_full_with_cache(self):
         engine = NofNSkyline(dim=2, capacity=6, sanitize="full")
@@ -239,32 +232,34 @@ class TestEngineIntegration:
         assert engine.cache_stats()["hits"] > stats["hits"]
 
     def test_skyband_cached_query_matches_uncached(self):
+        """Memoized answers equal the brute-force band (the engines have
+        no memo-less query path to compare with)."""
         cached = KSkybandEngine(dim=2, capacity=8, k=2)
-        plain = KSkybandEngine(dim=2, capacity=8, k=2, query_cache=False)
-        assert plain.stab_cache is None
+        history = []
         for i in range(30):
             point = ((i * 7) % 10, (i * 13) % 9)
             cached.append(point)
-            plain.append(point)
+            history.append(point)
             for n in (1, 4, 8):
-                assert [e.kappa for e in cached.query(n)] == [
-                    e.kappa for e in plain.query(n)
-                ]
+                for _ in range(2):  # a miss, then a memo hit
+                    got = [e.kappa for e in cached.query(n)]
+                    assert got == band_oracle(history, n, 2)
+        assert cached.cache_stats()["hits"] > 0
 
     def test_n1n2_cached_query_matches_uncached(self):
+        """Memoized slice answers equal the brute-force slice skyline."""
         cached = N1N2Skyline(dim=2, capacity=8)
-        plain = N1N2Skyline(dim=2, capacity=8, query_cache=False)
+        history = []
         for i in range(30):
             point = ((i * 7) % 10, (i * 13) % 9)
             cached.append(point)
-            plain.append(point)
+            history.append(point)
             for n1, n2 in ((1, 8), (2, 8), (4, 6)):
-                assert [e.kappa for e in cached.query(n1, n2)] == [
-                    e.kappa for e in plain.query(n1, n2)
-                ]
+                for _ in range(2):  # a miss, then a memo hit
+                    got = [e.kappa for e in cached.query(n1, n2)]
+                    assert got == slice_skyline_kappas(history, n1, n2)
         stats = cached.cache_stats()
-        assert stats is not None and stats["rebuilds"] > 0
-        assert plain.cache_stats() is None
+        assert stats["rebuilds"] > 0 and stats["hits"] > 0
 
     def test_continuous_manager_rides_the_cache(self):
         engine = NofNSkyline(dim=2, capacity=10)

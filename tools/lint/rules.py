@@ -17,8 +17,7 @@ REPRO002   Inline coordinate dominance tests —
            definition (DESIGN.md section 7: minimisation, weak vs
            strict, the duplicate tie rule) and it lives in
            :mod:`repro.core.dominance`; a hand-rolled comparison
-           drifts from it.  ``core/dominance.py`` itself and the MBR
-           arithmetic in ``structures/mbr.py`` are exempt.
+           drifts from it.  ``core/dominance.py`` itself is exempt.
 REPRO003   Mutable default arguments (``def f(x=[])``) — the classic
            shared-state trap.
 REPRO004   ``==`` / ``!=`` on coordinate containers (attributes named
@@ -89,12 +88,8 @@ RULES: Dict[str, str] = {
 }
 
 #: Files allowed to hand-roll coordinate comparisons (REPRO002): the
-#: canonical definition itself, and MBR arithmetic which compares
-#: box corners, not element coordinates.
-_DOMINANCE_EXEMPT_SUFFIXES: Tuple[str, ...] = (
-    "core/dominance.py",
-    "structures/mbr.py",
-)
+#: canonical definition itself.
+_DOMINANCE_EXEMPT_SUFFIXES: Tuple[str, ...] = ("core/dominance.py",)
 
 _COORD_ATTRS: Set[str] = {"values", "point", "points"}
 

@@ -32,12 +32,7 @@ DIMS = (2, 4)
 
 def _run(dim: int, capacity: int, fanout: int):
     points = stream_points("anticorrelated", dim, 2 * capacity, seed=83)
-    engine = NofNSkyline(
-        dim,
-        capacity,
-        rtree_max_entries=fanout,
-        rtree_min_entries=max(2, fanout // 3),
-    )
+    engine = NofNSkyline(dim, capacity, rtree_max_entries=fanout)
     return feed_timed(engine, points, warmup=capacity)
 
 
@@ -84,10 +79,7 @@ def test_fanout_append_benchmark(benchmark, fanout):
     """Micro-benchmark: append cost at selected fan-outs (d=4 anti)."""
     capacity = scaled(800)
     rounds = 200
-    engine = NofNSkyline(
-        4, capacity, rtree_max_entries=fanout,
-        rtree_min_entries=max(2, fanout // 3),
-    )
+    engine = NofNSkyline(4, capacity, rtree_max_entries=fanout)
     for point in stream_points("anticorrelated", 4, capacity, seed=89):
         engine.append(point)
     points = iter(stream_points("anticorrelated", 4, rounds + 10, seed=97))

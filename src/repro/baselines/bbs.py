@@ -35,7 +35,6 @@ Point = Tuple[float, ...]
 def bbs_skyline(
     points: Sequence[Sequence[float]],
     max_entries: int = 12,
-    min_entries: int = 4,
 ) -> List[int]:
     """Indices of the skyline of ``points``, ascending.
 
@@ -48,9 +47,7 @@ def bbs_skyline(
     for idx, raw in enumerate(points):
         groups.setdefault(tuple(float(v) for v in raw), []).append(idx)
     result: List[int] = []
-    for vector in bbs_progressive(
-        list(groups), max_entries=max_entries, min_entries=min_entries
-    ):
+    for vector in bbs_progressive(list(groups), max_entries=max_entries):
         result.extend(groups[vector])
     return sorted(result)
 
@@ -58,7 +55,6 @@ def bbs_skyline(
 def bbs_progressive(
     points: Sequence[Sequence[float]],
     max_entries: int = 12,
-    min_entries: int = 4,
 ) -> Iterator[Point]:
     """Yield distinct skyline points progressively, in mindist order.
 
@@ -70,7 +66,7 @@ def bbs_progressive(
     if not pts:
         return
     dim = len(pts[0])
-    tree = SoARTree(dim, max_entries=max_entries, min_entries=min_entries)
+    tree = SoARTree(dim, max_entries=max_entries)
     for i, point in enumerate(pts):
         tree.insert(point, kappa=i + 1)
 

@@ -12,13 +12,15 @@ query (``n <= N``):
   half-open intervals ``(kappa(parent), kappa(e)]`` (roots:
   ``(0, kappa(e)]``).
 
-Per arrival, :meth:`append` runs Algorithm 1:
+Per arrival, :meth:`append` runs Algorithm 1 on the skeleton shared by
+all window engines (:class:`~repro.core.window.WindowCore`):
 
 1. expire the oldest ``R_N`` element once it leaves the window,
    re-rooting its children's intervals to ``(0, kappa(child)]``;
-2. find and eject ``D_{e_new}`` — everything the newcomer weakly
-   dominates — via depth-first R-tree dominance reporting;
-3. find the newcomer's critical dominator via best-first R-tree search;
+2. find the newcomer's critical dominator via best-first R-tree search
+   (an exact older twin is skipped: step 3 ejects it);
+3. eject ``D_{e_new}`` — everything the newcomer weakly dominates —
+   via R-tree dominance reporting;
 4. install the newcomer's interval, R-tree entry and label.
 
 :meth:`query` then answers an n-of-N query as a **stabbing query**
@@ -26,35 +28,25 @@ Per arrival, :meth:`append` runs Algorithm 1:
 elements owning the stabbed intervals — one vectorised pass over the
 interval slots, memoized per elementary span.
 
-The label/threshold machinery is factored into small overridable hooks
-so :class:`repro.core.timewindow.TimeWindowSkyline` can reuse the whole
-engine with timestamps instead of positions (the paper's closing remark
-in section 6).
+This module holds the policy only: a dominated element leaves ``R_N``,
+and a newcomer's interval starts at its critical dominator's label.
+The label and window-start hooks let
+:class:`repro.core.timewindow.TimeWindowSkyline` reuse the whole engine
+with timestamps instead of positions (the paper's closing remark in
+section 6).
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
-from repro.accel.batch_prefilter import (
-    BatchPrefilter,
-    iter_chunks,
-    resolve_batch_chunk,
-)
-from repro.accel.stab_cache import StabCache
 from repro.core.element import StreamElement
 from repro.core.events import ArrivalOutcome, BatchOutcome, ExpiredRecord
-from repro.core.stats import EngineStats
-from repro.exceptions import (
-    DimensionMismatchError,
-    InvalidWindowError,
-    StructureCorruptionError,
-)
-from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
-from repro.structures.interval_tree import IntervalHandle, IntervalTree
-from repro.structures.labelset import LabelSet
-from repro.structures.rtree_soa import SoARTree
+from repro.core.window import WindowCore
+from repro.exceptions import StructureCorruptionError
+from repro.sanitize.sanitizer import SanitizeArg
+from repro.structures.interval_tree import IntervalHandle
+from repro.structures.rtree_soa import DEFAULT_MAX_ENTRIES
 
 
 class _Record:
@@ -64,7 +56,7 @@ class _Record:
     interval <-> label.
     """
 
-    __slots__ = ("element", "label", "parent_kappa", "children", "handle", "entry")
+    __slots__ = ("element", "label", "parent_kappa", "children", "handle")
 
     def __init__(self, element: StreamElement, label: float) -> None:
         self.element = element
@@ -72,38 +64,16 @@ class _Record:
         self.parent_kappa: int = 0
         self.children: Set[int] = set()
         self.handle: Optional[IntervalHandle] = None
-        self.entry = None
 
 
-def _record_kappa(record: _Record) -> int:
-    """Query-order sort key (module-level so the cache can share it)."""
-    return record.element.kappa
-
-
-class NofNSkyline:
+class NofNSkyline(WindowCore[_Record]):
     """Sliding-window engine answering all n-of-N skyline queries.
 
     Parameters
     ----------
-    dim:
-        Dimensionality of the stream's value vectors.
-    capacity:
-        ``N`` — the window size.  Queries may use any ``n <= N``.
-    rtree_max_entries / rtree_min_entries:
-        Fan-out bounds of the dominance index
-        (:class:`~repro.structures.rtree_soa.SoARTree`); the block
-        capacity is derived from ``rtree_max_entries``.
-    sanitize:
-        Runtime invariant checking: ``"off"`` (default), ``"sampled"``,
-        ``"full"``, or a ready-made
-        :class:`~repro.sanitize.InvariantSanitizer` to share between
-        engines.  See :mod:`repro.sanitize`.
-    batch_chunk:
-        Slice size of the :meth:`append_many` pipeline (``None`` — the
-        default — means :data:`repro.accel.batch_prefilter.CHUNK`).
-        Larger chunks amortise more index work per NumPy call; chunks
-        are also the granularity of sanitizer verification during a
-        batch.  Must be ``>= 1``.
+    dim, capacity, rtree_max_entries, sanitize, batch_chunk:
+        As for :class:`~repro.core.window.WindowCore`; ``capacity`` is
+        ``N``, and queries may use any ``n <= N``.
 
     Notes
     -----
@@ -117,54 +87,11 @@ class NofNSkyline:
         self,
         dim: int,
         capacity: int,
-        rtree_max_entries: int = 12,
-        rtree_min_entries: int = 4,
+        rtree_max_entries: int = DEFAULT_MAX_ENTRIES,
         sanitize: SanitizeArg = "off",
         batch_chunk: Optional[int] = None,
     ) -> None:
-        if capacity < 1:
-            raise InvalidWindowError(f"capacity must be >= 1, got {capacity}")
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-        self.capacity = capacity
-        self._batch_chunk = resolve_batch_chunk(batch_chunk)
-        self._sanitizer = InvariantSanitizer.coerce(sanitize)
-        self._m = 0
-        self._records: Dict[int, _Record] = {}
-        self._labels: LabelSet[_Record] = LabelSet()
-        self._intervals: IntervalTree[_Record] = IntervalTree()
-        self._rtree = SoARTree(
-            dim, max_entries=rtree_max_entries, min_entries=rtree_min_entries
-        )
-        # Queries stab through a per-span memo (Theorem 3); answers come
-        # back sorted by kappa, so the query path never re-sorts.
-        self._stab_cache: StabCache[_Record] = StabCache(
-            self._intervals, sort_key=_record_kappa
-        )
-        self.stats = EngineStats()
-
-    # ------------------------------------------------------------------
-    # Hooks overridden by the time-window variant
-    # ------------------------------------------------------------------
-
-    def _assign_label(self, element: StreamElement) -> float:
-        """The label used as interval endpoints; positions by default."""
-        return element.kappa
-
-    def _window_start(self, new_label: float) -> float:
-        """Labels strictly below this value have left the window."""
-        return self._m - self.capacity + 1
-
-    def _note_arrival(self, label: float) -> None:
-        """Per-arrival clock bookkeeping for the batched path (no-op for
-        count-based windows; the time-window variant advances ``now``)."""
-
-    def _final_threshold(self, last_label: float, count: int) -> float:
-        """The value :meth:`_window_start` will return at the last of the
-        next ``count`` arrivals (ending at ``last_label``) — the batched
-        path's once-per-chunk expiry gate."""
-        return self._m + count - self.capacity + 1
+        super().__init__(dim, capacity, rtree_max_entries, sanitize, batch_chunk)
 
     # ------------------------------------------------------------------
     # Maintenance (Algorithm 1)
@@ -177,60 +104,7 @@ class NofNSkyline:
         manager (Algorithm 2); ad-hoc users may ignore it.
         """
         self._m += 1
-        element = StreamElement(values, self._m, payload)
-        label = self._assign_label(element)
-        return self._arrive(element, label)
-
-    def _arrive(self, element: StreamElement, label: float) -> ArrivalOutcome:
-        # -- Lines 2-8: expire elements that left the window. ----------
-        threshold = self._window_start(label)
-        expired: List[ExpiredRecord] = []
-        while self._labels:
-            oldest_label, oldest = self._labels.oldest()
-            if oldest_label >= threshold:
-                break
-            expired.append(self._expire(oldest))
-
-        # -- Lines 9-13: eject D_{e_new}. ------------------------------
-        dominated: List[StreamElement] = []
-        for entry in self._rtree.remove_dominated(element.values):
-            record: _Record = entry.data
-            self._detach(record)
-            dominated.append(record.element)
-
-        # -- Lines 14-15: critical dominator + installation. -----------
-        parent_entry = self._rtree.max_kappa_dominator(element.values)
-        record = _Record(element, label)
-        if parent_entry is None:
-            low = 0.0
-        else:
-            parent: _Record = parent_entry.data
-            record.parent_kappa = parent.element.kappa
-            parent.children.add(element.kappa)
-            low = parent.label
-        record.handle = self._intervals.insert(low, label, record)
-        record.entry = self._rtree.insert(element.values, element.kappa, record)
-        self._labels.append(label, record)
-        self._records[element.kappa] = record
-
-        self.stats.record_arrival(
-            expired=len(expired),
-            dominated=len(dominated),
-            rn_size=len(self._records),
-        )
-        if self._sanitizer is not None:
-            self._sanitizer.maybe_verify(self)
-        return ArrivalOutcome(
-            element=element,
-            seen_so_far=self._m,
-            dominated_removed=tuple(dominated),
-            parent_kappa=record.parent_kappa,
-            expired=tuple(expired),
-        )
-
-    # ------------------------------------------------------------------
-    # Batched ingestion fast path
-    # ------------------------------------------------------------------
+        return self._arrive(StreamElement(values, self._m, payload), self._m)
 
     def append_many(
         self,
@@ -253,68 +127,52 @@ class NofNSkyline:
         values raise before any engine state changes.
         """
         elements = self._batch_elements(points, payloads)
-        return self._ingest_batch(
-            elements, [self._assign_label(e) for e in elements]
-        )
-
-    def _batch_elements(
-        self,
-        points: Sequence[Sequence[float]],
-        payloads: Optional[Sequence[Any]],
-    ) -> List[StreamElement]:
-        """Construct and validate the batch's elements without mutating
-        engine state (all-or-nothing ingestion)."""
-        pts = list(points)
-        if payloads is None:
-            payloads = [None] * len(pts)
-        elif len(payloads) != len(pts):
-            raise ValueError(
-                f"got {len(pts)} points but {len(payloads)} payloads"
-            )
-        elements = []
-        for offset, (values, payload) in enumerate(zip(pts, payloads)):
-            element = StreamElement(values, self._m + offset + 1, payload)
-            if len(element.values) != self.dim:
-                raise DimensionMismatchError(self.dim, len(element.values))
-            elements.append(element)
-        return elements
-
-    def _ingest_batch(
-        self, elements: List[StreamElement], labels: List[float]
-    ) -> BatchOutcome:
-        """Run the chunked batch-arrival loop over validated elements."""
-        started = perf_counter()
         outcomes: List[ArrivalOutcome] = []
-        dropped = 0
-        for lo, hi in iter_chunks(len(elements), self._batch_chunk):
-            dropped += self._arrive_chunk(elements, labels, lo, hi, outcomes)
-            if self._sanitizer is not None:
-                self._sanitizer.maybe_verify(self)
-        batch = BatchOutcome(tuple(outcomes), prefilter_dropped=dropped)
-        self.stats.record_batch(
-            size=len(elements), dropped=dropped, seconds=perf_counter() - started
-        )
-        return batch
+        dropped = self._ingest(elements, [e.kappa for e in elements], outcomes)
+        return BatchOutcome(tuple(outcomes), prefilter_dropped=dropped)
 
-    def _chunk_expiry_gate(
-        self, labels: List[float], lo: int, hi: int
-    ) -> bool:
-        """Once-per-chunk expiry gate: if neither the oldest live label
-        nor the chunk's own first label can fall below the window start
-        as of the chunk's *last* arrival, no arrival in the chunk can
-        expire anything (thresholds are monotone)."""
-        threshold_end = self._final_threshold(labels[hi - 1], hi - lo)
-        return labels[lo] < threshold_end or (
-            bool(self._labels) and self._labels.oldest()[0] < threshold_end
-        )
+    # -- policy: a dominated element leaves R_N ------------------------
 
-    def _expire_step(
-        self,
-        threshold: float,
-        pending: Dict[int, _Record],
-        defer: Optional[Callable[[int], None]] = None,
+    def _new_record(
+        self, element: StreamElement, label: float, found: List[_Record]
+    ) -> _Record:
+        record = _Record(element, label)
+        if found:  # the critical dominator
+            parent = found[0]
+            record.parent_kappa = parent.element.kappa
+            parent.children.add(element.kappa)
+        return record
+
+    def _low(self, record: _Record, found: List[_Record]) -> float:
+        return found[0].label if found else 0.0
+
+    def _dominated(self, record: _Record, kappa: int) -> bool:
+        """Eject a dominated element: its interval, label and parent
+        link go (Algorithm 1 lines 9-13)."""
+        self._intervals.remove(record.handle)
+        record.handle = None
+        parent = self._records.get(record.parent_kappa)
+        if parent is not None:
+            parent.children.discard(record.element.kappa)
+        self._labels.remove(record.label)
+        del self._records[record.element.kappa]
+        return True
+
+    def _release(self, record: _Record, pending: Dict[int, _Record]) -> None:
+        parent = self._records.get(record.parent_kappa) or pending.get(
+            record.parent_kappa
+        )
+        if parent is not None:
+            parent.children.discard(record.element.kappa)
+
+    def _expire_due(
+        self, label: float, pending: Dict[int, _Record]
     ) -> List[ExpiredRecord]:
-        """Run one arrival's merged pending/indexed expiry sweep."""
+        """Expire, oldest first, indexed and parked elements alike.  A
+        parked member can leave the window before its killer arrives
+        when the chunk spans more than a window (time windows, count
+        windows smaller than the chunk)."""
+        threshold = self._window_start(label)
         expired: List[ExpiredRecord] = []
         while True:
             tree_oldest = self._labels.oldest() if self._labels else None
@@ -324,7 +182,7 @@ class NofNSkyline:
             ):
                 if tree_oldest[0] >= threshold:
                     break
-                expired.append(self._expire(tree_oldest[1], pending, defer))
+                expired.append(self._expire(tree_oldest[1], pending))
             elif pend_oldest is not None:
                 if pend_oldest.label >= threshold:
                     break
@@ -333,164 +191,13 @@ class NofNSkyline:
                 break
         return expired
 
-    def _arrive_chunk(
-        self,
-        elements: List[StreamElement],
-        labels: List[float],
-        lo: int,
-        hi: int,
-        outcomes: List[ArrivalOutcome],
-    ) -> int:
-        """Ingest ``elements[lo:hi]``, appending one outcome per element.
-
-        The dominance index is *frozen* for the duration of the chunk: both
-        chunk-wide searches (:meth:`SoARTree.report_dominated_batch`,
-        :meth:`SoARTree.max_kappa_dominator_batch`) run once up front
-        against the chunk-start state, every per-arrival mutation is
-        deferred, and the chunk flushes with one
-        :meth:`SoARTree.delete_many` + one :meth:`SoARTree.insert_many`.
-        Per-element semantics are reconstructed exactly:
-
-        * dominance victims carry first-arrival attribution, and an
-          arrival skips victims another arrival (or an expiry) already
-          removed — the aliveness check against ``self._records``;
-        * a chunk survivor is never dominated by any chunk member (the
-          prefilter would have doomed it), so survivors installed
-          mid-chunk only ever *leave* via expiry — handled by dropping
-          their deferred insert;
-        * critical parents resolve intra-chunk candidates from the
-          prefilter's dominance matrix (youngest alive wins — chunk
-          kappas exceed every indexed kappa) and fall back to the
-          frozen-tree answer, walked past entries that died mid-chunk
-          via ``max_kappa_dominator(kappa_below=...)``.
-        """
-        chunk = elements[lo:hi]
-        points = [e.values for e in chunk]
-        pre = BatchPrefilter(points, k=1)
-        may_expire = self._chunk_expiry_gate(labels, lo, hi)
-        rtree = self._rtree
-        victims0 = rtree.report_dominated_batch(points)
-        parents0 = rtree.max_kappa_dominator_batch(points)
-        deferred_deletes: List[int] = []
-        deferred_inserts: Dict[int, _Record] = {}
-
-        def defer_delete(kappa: int) -> None:
-            if deferred_inserts.pop(kappa, None) is None:
-                deferred_deletes.append(kappa)
-
-        pending: Dict[int, _Record] = {}
-        for i, element in enumerate(chunk):
-            label = labels[lo + i]
-            self._m = element.kappa
-            self._note_arrival(label)
-
-            expired: List[ExpiredRecord] = []
-            if may_expire:
-                expired = self._expire_step(
-                    self._window_start(label), pending, defer_delete
-                )
-
-            dominated: List[StreamElement] = []
-            for entry in victims0[i]:
-                tree_record = self._records.get(entry.kappa)
-                if tree_record is None:
-                    continue  # expired earlier in the chunk
-                self._detach(tree_record)
-                defer_delete(entry.kappa)
-                dominated.append(tree_record.element)
-            for h in pre.killed_at(i):
-                doomed = pending.pop(chunk[h].kappa, None)
-                if doomed is None:
-                    continue  # already expired
-                parent = self._records.get(doomed.parent_kappa)
-                if parent is None:
-                    parent = pending.get(doomed.parent_kappa)
-                if parent is not None:
-                    parent.children.discard(doomed.element.kappa)
-                dominated.append(doomed.element)
-
-            record = _Record(element, label)
-            # Intra-chunk parent candidates, youngest first.  Any alive
-            # candidate outranks the whole frozen tree (chunk kappas are
-            # the largest in the window).  For survivors only installed
-            # chunk survivors can qualify — an *alive* pending dominator
-            # would imply the survivor is doomed (transitivity).
-            best: Optional[_Record] = None
-            for h in pre.older_weak_dominators(i):
-                kappa_h = chunk[h].kappa
-                best = pending.get(kappa_h) or self._records.get(kappa_h)
-                if best is not None:
-                    break
-                # killed or expired already — keep walking
-            if best is None:
-                parent_entry = parents0[i]
-                while (
-                    parent_entry is not None
-                    and parent_entry.kappa not in self._records
-                ):
-                    # The frozen-tree answer died mid-chunk: descend.
-                    parent_entry = rtree.max_kappa_dominator(
-                        element.values, kappa_below=parent_entry.kappa
-                    )
-                if parent_entry is not None:
-                    best = parent_entry.data
-            if best is not None:
-                record.parent_kappa = best.element.kappa
-                best.children.add(element.kappa)
-            if pre.is_doomed(i):
-                pending[element.kappa] = record
-            else:
-                low = 0.0 if best is None else best.label
-                record.handle = self._intervals.insert(low, label, record)
-                deferred_inserts[element.kappa] = record
-                self._labels.append(label, record)
-                self._records[element.kappa] = record
-
-            self.stats.record_arrival(
-                expired=len(expired),
-                dominated=len(dominated),
-                rn_size=len(self._records) + len(pending),
-            )
-            outcomes.append(
-                ArrivalOutcome(
-                    element=element,
-                    seen_so_far=element.kappa,
-                    dominated_removed=tuple(dominated),
-                    parent_kappa=record.parent_kappa,
-                    expired=tuple(expired),
-                )
-            )
-        if pending:
-            raise StructureCorruptionError(
-                f"{len(pending)} doomed batch members survived their chunk"
-            )
-        if deferred_deletes:
-            rtree.delete_many(deferred_deletes)
-        if deferred_inserts:
-            survivors = list(deferred_inserts.values())
-            entries = rtree.insert_many(
-                [r.element.values for r in survivors],
-                [r.element.kappa for r in survivors],
-                survivors,
-            )
-            for survivor, entry in zip(survivors, entries):
-                survivor.entry = entry
-        return pre.dropped
-
     def _expire(
-        self,
-        record: _Record,
-        pending: Optional[Dict[int, _Record]] = None,
-        defer: Optional[Callable[[int], None]] = None,
+        self, record: _Record, pending: Optional[Dict[int, _Record]] = None
     ) -> ExpiredRecord:
-        """Remove an expired root from ``R_N``, re-rooting its children.
-
-        ``pending`` is supplied by the batched path: a child may be a
-        doomed batch member awaiting its in-batch killer — it has no
-        interval yet, only a parent link to clear.  ``defer`` (the
-        frozen-tree pipeline) replaces the R-tree delete with a
-        deferred-mutation callback.
-        """
+        """Remove an expired root from ``R_N``, re-rooting its children
+        (Algorithm 1 lines 2-8).  A child may be a parked chunk member
+        (in ``pending``): it has no interval yet, only a parent link to
+        clear."""
         if record.parent_kappa != 0:
             raise StructureCorruptionError(
                 f"expiring element {record.element.kappa} is not a root of "
@@ -514,14 +221,10 @@ class NofNSkyline:
             child.parent_kappa = 0
             children_elements.append(child.element)
         self._intervals.remove(record.handle)
-        if defer is None:
-            self._rtree.delete(record.element.kappa)
-        else:
-            defer(record.element.kappa)
+        self._unindex(record.element.kappa)
         self._labels.remove(record.label)
         del self._records[record.element.kappa]
         record.handle = None
-        record.entry = None
         return ExpiredRecord(
             element=record.element,
             children=tuple(children_elements),
@@ -530,9 +233,8 @@ class NofNSkyline:
     def _expire_pending(
         self, record: _Record, pending: Dict[int, _Record]
     ) -> ExpiredRecord:
-        """Expire a doomed batch member that left the window before its
-        in-batch killer arrived (bursty time windows; count windows
-        smaller than the chunk).  It owns no index entries — only the
+        """Expire a parked member that left the window before its
+        in-chunk killer arrived.  It owns no index entries — only the
         dominance-graph links need maintenance."""
         if record.parent_kappa != 0:
             raise StructureCorruptionError(
@@ -556,21 +258,6 @@ class NofNSkyline:
             children=tuple(children_elements),
         )
 
-    def _detach(self, record: _Record) -> None:
-        """Remove a dominated element's interval, label and parent link.
-
-        The caller removes the index entry: :meth:`SoARTree.remove_dominated`
-        per element, or a deferred :meth:`SoARTree.delete_many` per chunk.
-        """
-        self._intervals.remove(record.handle)
-        record.handle = None
-        record.entry = None
-        parent = self._records.get(record.parent_kappa)
-        if parent is not None:
-            parent.children.discard(record.element.kappa)
-        self._labels.remove(record.label)
-        del self._records[record.element.kappa]
-
     # ------------------------------------------------------------------
     # Query processing (Theorem 3 / section 3.2)
     # ------------------------------------------------------------------
@@ -583,24 +270,7 @@ class NofNSkyline:
         InvalidWindowError
             If ``n`` is not in ``[1, capacity]``.
         """
-        stab = self._stab_point(n)
-        if stab is None:
-            self.stats.record_query(0)
-            return []
-        records = self._stab_cache.stab(stab)  # sorted by kappa
-        self.stats.record_query(len(records))
-        return [r.element for r in records]
-
-    def _stab_point(self, n: int) -> Optional[float]:
-        if not 1 <= n <= self.capacity:
-            raise InvalidWindowError(
-                f"n must be in [1, {self.capacity}], got {n}"
-            )
-        if self._m == 0:
-            return None
-        # A query for more elements than have arrived degenerates to the
-        # skyline of everything seen so far (stab point clamps to 1).
-        return max(1, self._m - n + 1)
+        return self._answer(self._stab_point(n))
 
     def skyline(self) -> List[StreamElement]:
         """Skyline of the whole window (the classic sliding-window case,
@@ -638,46 +308,9 @@ class NofNSkyline:
     # ------------------------------------------------------------------
 
     @property
-    def seen_so_far(self) -> int:
-        """``M`` — number of elements ingested."""
-        return self._m
-
-    @property
     def rn_size(self) -> int:
         """``|R_N|`` — the minimized element count of Theorem 1."""
         return len(self._records)
-
-    @property
-    def sanitizer(self) -> Optional[InvariantSanitizer]:
-        """The attached sanitizer, or ``None`` when checking is off."""
-        return self._sanitizer
-
-    @property
-    def sanitize_mode(self) -> str:
-        """The active sanitize mode (``"off"`` when none is attached)."""
-        return "off" if self._sanitizer is None else self._sanitizer.mode
-
-    @property
-    def structure_version(self) -> int:
-        """Monotonic version of the interval encoding; bumps on every
-        arrival, expiry, dominance ejection and re-rooting (anything
-        that can change a query answer)."""
-        return self._intervals.version
-
-    @property
-    def stab_cache(self) -> StabCache[_Record]:
-        """The stab memo every :meth:`query` answers through."""
-        return self._stab_cache
-
-    @property
-    def batch_chunk(self) -> int:
-        """Effective :meth:`append_many` chunk size (the ``batch_chunk``
-        knob, with ``None`` resolved to the module default)."""
-        return self._batch_chunk
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/rebuild counters of the stab memo."""
-        return self._stab_cache.stats()
 
     def non_redundant(self) -> List[StreamElement]:
         """The elements of ``R_N``, oldest first."""
@@ -703,9 +336,6 @@ class NofNSkyline:
         return sorted(
             (record.parent_kappa, kappa) for kappa, record in self._records.items()
         )
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     # ------------------------------------------------------------------
     # Validation (used by the test suite)

@@ -96,10 +96,11 @@ class _ScanIndex:
         return best
 
     def report_dominated_batch(
-        self, points: Sequence[Sequence[float]]
+        self, points: Sequence[Sequence[float]], first_only: bool = True
     ) -> List[List["_ScanIndex._Entry"]]:
         """Each entry goes to the bucket of the earliest probe that
-        weakly dominates it (non-destructive)."""
+        weakly dominates it (non-destructive; the engine is a skyline
+        engine, so ``first_only`` is always true)."""
         buckets: List[List[_ScanIndex._Entry]] = [[] for _ in points]
         for entry in self._entries.values():
             for pos, q in enumerate(points):

@@ -114,10 +114,7 @@ def _snapshot_sharded(
         "seen_so_far": router.seen_so_far,
         "records": rows,
         "stats": router.stats.snapshot_raw(),
-        "rtree": {
-            "max_entries": router._rtree_config["rtree_max_entries"],
-            "min_entries": router._rtree_config["rtree_min_entries"],
-        },
+        "rtree": {"max_entries": router._rtree_max_entries},
         "batch_chunk": router.batch_chunk,
         "replicas": {
             "mode": router.replica_mode,
@@ -164,12 +161,8 @@ def _rtree_config(engine: Union[NofNSkyline, N1N2Skyline]) -> Dict[str, Any]:
     """The engine's R-tree tuning, so :func:`restore` rebuilds the index
     with the fan-out the operator chose rather than the defaults.
     Engines whose index is not an R-tree (the linear-scan ablation)
-    report the defaults — tuning does not apply to them."""
-    index = engine._rtree
-    return {
-        "max_entries": int(getattr(index, "max_entries", 12)),
-        "min_entries": int(getattr(index, "min_entries", 4)),
-    }
+    report the default — tuning does not apply to them."""
+    return {"max_entries": int(getattr(engine._rtree, "max_entries", 12))}
 
 
 def _snapshot_n1n2(engine: N1N2Skyline) -> Dict[str, Any]:
@@ -394,16 +387,13 @@ def _rtree_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
 
     Snapshots written before the tuning was recorded lack the "rtree"
     key; they restore with the defaults, as they always did.  Older
-    snapshots also carry ``split`` and ``layout`` (a split policy and a
-    choice between two index layouts the library no longer has); they
-    are accepted and ignored.
+    snapshots also carry ``split``, ``layout`` and ``min_entries`` (a
+    split policy, a choice between two index layouts and a minimum
+    fan-out the library no longer has); they are accepted and ignored.
     """
     raw = snap.get("rtree", {})
     _require(isinstance(raw, dict), '"rtree" must be a dict when present')
-    return {
-        "rtree_max_entries": int(raw.get("max_entries", 12)),
-        "rtree_min_entries": int(raw.get("min_entries", 4)),
-    }
+    return {"rtree_max_entries": int(raw.get("max_entries", 12))}
 
 
 def _batch_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
@@ -441,9 +431,7 @@ def _restore_nofn(snap: Dict[str, Any], engine: NofNSkyline) -> NofNSkyline:
         else:
             low = 0.0
         record.handle = engine._intervals.insert(low, record.label, record)
-        record.entry = engine._rtree.insert(
-            record.element.values, record.element.kappa, record
-        )
+        engine._rtree.insert(record.element.values, record.element.kappa, record)
         engine._labels.append(record.label, record)
         engine._records[record.element.kappa] = record
 
@@ -483,7 +471,7 @@ def _restore_n1n2(
                 f"{record.a_kappa}",
             )
             parent.dependents.add(kappa)
-        tree = engine._live if record.in_rn else engine._superseded
+        tree = engine._intervals if record.in_rn else engine._superseded
         record.handle = tree.insert(
             float(record.a_kappa), float(kappa), record
         )
@@ -493,6 +481,7 @@ def _restore_n1n2(
                 f"record {kappa} is in R_N but has a finite b",
             )
             engine._rtree.insert(record.element.values, kappa, record)
+        engine._labels.append(kappa, record)
         engine._records[kappa] = record
 
     _restore_stats(engine, snap.get("stats"))

@@ -26,6 +26,7 @@ from repro.core.events import ArrivalOutcome, BatchOutcome
 from repro.core.nofn import NofNSkyline
 from repro.exceptions import InvalidWindowError
 from repro.sanitize.sanitizer import SanitizeArg
+from repro.structures.rtree_soa import DEFAULT_MAX_ENTRIES
 
 
 class TimeWindowSkyline(NofNSkyline):
@@ -39,37 +40,22 @@ class TimeWindowSkyline(NofNSkyline):
         Window length in time units; elements older than
         ``now - horizon`` are expired.  Queries may use any trailing
         period ``tau <= horizon``.
-    rtree_max_entries / rtree_min_entries:
-        Fan-out bounds of the dominance index, forwarded verbatim to
-        :class:`~repro.core.nofn.NofNSkyline`.
-    sanitize:
-        Runtime invariant checking, forwarded verbatim (see
-        :mod:`repro.sanitize`).
-    batch_chunk:
-        The batched-ingest slice size, forwarded verbatim (see
-        :class:`~repro.core.nofn.NofNSkyline`).
+    rtree_max_entries, sanitize, batch_chunk:
+        Forwarded verbatim to :class:`~repro.core.nofn.NofNSkyline`.
     """
 
     def __init__(
         self,
         dim: int,
         horizon: float,
-        rtree_max_entries: int = 12,
-        rtree_min_entries: int = 4,
+        rtree_max_entries: int = DEFAULT_MAX_ENTRIES,
         sanitize: SanitizeArg = "off",
         batch_chunk: Optional[int] = None,
     ) -> None:
         if horizon <= 0:
             raise InvalidWindowError(f"horizon must be positive, got {horizon}")
         # The count capacity is irrelevant here; expiry is time-driven.
-        super().__init__(
-            dim,
-            capacity=1,
-            rtree_max_entries=rtree_max_entries,
-            rtree_min_entries=rtree_min_entries,
-            sanitize=sanitize,
-            batch_chunk=batch_chunk,
-        )
+        super().__init__(dim, 1, rtree_max_entries, sanitize, batch_chunk)
         self.horizon = float(horizon)
         self._now = 0.0
 
@@ -91,18 +77,9 @@ class TimeWindowSkyline(NofNSkyline):
             If ``timestamp`` is not positive and strictly greater than
             the previous arrival's timestamp.
         """
-        timestamp = float(timestamp)
-        if timestamp <= 0:
-            raise ValueError(f"timestamps must be positive, got {timestamp}")
-        if timestamp <= self._now:
-            raise ValueError(
-                f"timestamps must be strictly increasing: "
-                f"{timestamp} <= {self._now}"
-            )
-        self._now = timestamp
+        (stamp,) = self._stamps([timestamp])
         self._m += 1
-        element = StreamElement(values, self._m, payload)
-        return self._arrive(element, timestamp)
+        return self._arrive(StreamElement(values, self._m, payload), stamp)
 
     def append_many(  # type: ignore[override]
         self,
@@ -124,12 +101,21 @@ class TimeWindowSkyline(NofNSkyline):
             not positive and strictly increasing (starting strictly
             after the previous arrival).
         """
-        pts = list(points)
-        stamps = [float(t) for t in timestamps]
+        pts, stamps = list(points), list(timestamps)
         if len(stamps) != len(pts):
             raise ValueError(
                 f"got {len(pts)} points but {len(stamps)} timestamps"
             )
+        stamps = self._stamps(stamps)
+        elements = self._batch_elements(pts, payloads)
+        outcomes: List[ArrivalOutcome] = []
+        dropped = self._ingest(elements, stamps, outcomes)
+        return BatchOutcome(tuple(outcomes), prefilter_dropped=dropped)
+
+    def _stamps(self, timestamps: Sequence[float]) -> List[float]:
+        """``timestamps`` as floats, checked positive and strictly
+        increasing from the previous arrival's."""
+        stamps = [float(t) for t in timestamps]
         previous = self._now
         for timestamp in stamps:
             if timestamp <= 0:
@@ -142,21 +128,15 @@ class TimeWindowSkyline(NofNSkyline):
                     f"{timestamp} <= {previous}"
                 )
             previous = timestamp
-        elements = self._batch_elements(pts, payloads)
-        return self._ingest_batch(elements, stamps)
+        return stamps
 
     def _note_arrival(self, label: float) -> None:
-        """Advance the clock: the batched path's equivalent of
-        :meth:`append` setting ``now`` before maintenance."""
+        """Advance the clock to the arriving element's timestamp."""
         self._now = label
 
-    def _window_start(self, new_label: float) -> float:
-        """Elements stamped before ``now - horizon`` have expired."""
-        return self._now - self.horizon
-
-    def _final_threshold(self, last_label: float, count: int) -> float:
-        """Window start as of the chunk's last (latest-stamped) arrival."""
-        return last_label - self.horizon
+    def _window_start(self, label: float) -> float:
+        """Elements stamped before ``label - horizon`` have expired."""
+        return label - self.horizon
 
     # ------------------------------------------------------------------
     # Queries
@@ -176,17 +156,14 @@ class TimeWindowSkyline(NofNSkyline):
                 f"duration must be in (0, {self.horizon}], got {duration}"
             )
         if not self._labels:
-            self.stats.record_query(0)
-            return []
+            return self._answer(None)
         stab = self._now - duration
         if stab <= 0:
             # The period covers the whole retained history: any stab
             # point at or below the oldest live label reports exactly
             # the dominance-graph roots.
             stab = self._labels.oldest()[0]
-        records = self._stab_cache.stab(stab)  # sorted by kappa
-        self.stats.record_query(len(records))
-        return [r.element for r in records]
+        return self._answer(stab)
 
     def skyline(self) -> List[StreamElement]:
         """Skyline of the whole horizon."""

@@ -90,7 +90,7 @@ class SanitizerReport:
     ----------
     structure:
         The structure at fault (``"rtree"``, ``"interval_tree"``,
-        ``"labelset"``, ``"heap"``, ``"rbtree"``, ``"dominance_graph"``,
+        ``"labelset"``, ``"heap"``, ``"dominance_graph"``,
         ``"R_N"``, ``"trigger_heap"`` …).
     invariant:
         Machine-readable invariant name from the catalogue in

@@ -11,13 +11,10 @@ of the shards' answers is guaranteed to contain the global answer
 The trick that makes the stock engines reusable verbatim is the same
 one :class:`~repro.core.timewindow.TimeWindowSkyline` plays with
 timestamps: a shard engine labels its intervals with **global** kappas
-instead of local positions.  Setting ``self._m`` to the arriving
-element's global kappa before running the inherited maintenance makes
-the inherited window-start arithmetic (``self._m - capacity + 1``)
-compute the *global* window start, so expiry is exact at every shard
-arrival; only the batched path's once-per-chunk threshold needs an
-override, because the base class assumes the next ``count`` labels are
-consecutive while a shard's labels advance in strides of ``S``.
+instead of local positions.  The shared window-start arithmetic
+(``label - capacity + 1``, :class:`~repro.core.window.WindowCore`) then
+computes the *global* window start, so expiry is exact at every shard
+arrival, per element and per chunk alike.
 
 Between two arrivals a shard lags the global clock, so it may retain
 elements that have already left the global window ("stale" elements).
@@ -32,11 +29,12 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.element import StreamElement
-from repro.core.events import ArrivalOutcome, BatchOutcome
 from repro.core.nofn import NofNSkyline
 from repro.core.skyband import KSkybandEngine
+from repro.core.window import WindowCore
 from repro.exceptions import DimensionMismatchError, ReproError
 from repro.sanitize.sanitizer import SanitizeArg
+from repro.structures.rtree_soa import DEFAULT_MAX_ENTRIES
 
 _ROUTER_ONLY = (
     "shard engines consume router-labelled elements; "
@@ -44,7 +42,93 @@ _ROUTER_ONLY = (
 )
 
 
-class ShardNofNEngine(NofNSkyline):
+class _RouterFed(WindowCore[Any]):
+    """Router-fed ingestion and the fan-out query surface of a shard
+    engine.  ``_stride`` is the shard count ``S``: consecutive kappas of
+    one shard differ by at most ``S``."""
+
+    _stride = 1
+
+    def _set_stride(self, stride: int) -> None:
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        self._stride = stride
+
+    def ingest(self, element: StreamElement) -> None:
+        """Run one arrival for a router-labelled element (global kappa,
+        strictly increasing per shard)."""
+        self._check(element, self._m)
+        self._m = element.kappa
+        self._arrive(element, element.kappa)
+
+    def ingest_many(self, elements: Sequence[StreamElement]) -> None:
+        """Batched :meth:`ingest` through the shared chunk frame.
+
+        Consecutive kappas *within the batch* must not gap by more than
+        ``stride`` (the router's round-robin guarantees exactly
+        ``stride``); the skyband's chunk bound relies on it.  The gap
+        to the shard's previous arrival is free: after a snapshot is
+        re-sharded, a shard's newest retained element may be far older.
+        """
+        elems = list(elements)
+        previous = self._m
+        for index, element in enumerate(elems):
+            self._check(element, previous)
+            if index and element.kappa - previous > self._stride:
+                raise ValueError(
+                    f"shard kappa gap {element.kappa - previous} exceeds "
+                    f"stride {self._stride}"
+                )
+            previous = element.kappa
+        if elems:
+            self._ingest(elems, [e.kappa for e in elems])
+
+    def _check(self, element: StreamElement, previous: int) -> None:
+        if element.kappa <= previous:
+            raise ValueError(
+                f"shard kappas must increase: {element.kappa} <= {previous}"
+            )
+        if len(element.values) != self.dim:
+            raise DimensionMismatchError(self.dim, len(element.values))
+
+    # -- misuse guards --------------------------------------------------
+
+    def append(self, values: Sequence[float], payload: Any = None) -> Any:
+        raise ReproError(_ROUTER_ONLY)
+
+    def append_many(
+        self,
+        points: Sequence[Sequence[float]],
+        payloads: Optional[Sequence[Any]] = None,
+    ) -> Any:
+        raise ReproError(_ROUTER_ONLY)
+
+    # -- fan-out query surface ------------------------------------------
+
+    def stab_elements(self, stab: float) -> List[StreamElement]:
+        """This shard's answer to a global stab point, kappa-ascending:
+        the skyline (or k-skyband) of the shard's sub-stream suffix
+        ``kappa >= stab`` (Theorem 3 on the sub-stream)."""
+        return self._answer(stab if self._m else None)
+
+    def retained_suffix(self, stab: float) -> List[StreamElement]:
+        """Retained elements with ``kappa >= stab``, kappa-ascending.
+
+        These are the merge's dominance witnesses: within a shard, the
+        ``k`` youngest in-window dominators of any element are always
+        retained (pruning one would require ``k`` even younger in-shard
+        dominators, a contradiction), so counting a candidate's
+        dominators over the union of all shards' suffixes decides band
+        membership exactly (``k = 1`` for the skyline).
+        """
+        return [
+            record.element
+            for _, record in self._labels.items()
+            if record.element.kappa >= stab
+        ]
+
+
+class ShardNofNEngine(_RouterFed, NofNSkyline):
     """One shard's n-of-N engine, labelled with global kappas.
 
     ``capacity`` is the *global* window size ``N`` and ``stride`` the
@@ -58,113 +142,23 @@ class ShardNofNEngine(NofNSkyline):
         dim: int,
         capacity: int,
         stride: int,
-        rtree_max_entries: int = 12,
-        rtree_min_entries: int = 4,
+        rtree_max_entries: int = DEFAULT_MAX_ENTRIES,
         sanitize: SanitizeArg = "off",
         batch_chunk: Optional[int] = None,
     ) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        super().__init__(
-            dim,
-            capacity,
-            rtree_max_entries=rtree_max_entries,
-            rtree_min_entries=rtree_min_entries,
-            sanitize=sanitize,
-            batch_chunk=batch_chunk,
+        self._set_stride(stride)
+        NofNSkyline.__init__(
+            self, dim, capacity, rtree_max_entries, sanitize, batch_chunk
         )
-        self._stride = stride
-
-    # -- router-fed ingestion ------------------------------------------
-
-    def ingest(self, element: StreamElement) -> ArrivalOutcome:
-        """Run one arrival for a router-labelled element (global kappa,
-        strictly increasing per shard)."""
-        if element.kappa <= self._m:
-            raise ValueError(
-                f"shard kappas must increase: {element.kappa} <= {self._m}"
-            )
-        if len(element.values) != self.dim:
-            raise DimensionMismatchError(self.dim, len(element.values))
-        self._m = element.kappa
-        return self._arrive(element, self._assign_label(element))
-
-    def ingest_many(self, elements: Sequence[StreamElement]) -> BatchOutcome:
-        """Batched :meth:`ingest` through the inherited fast path."""
-        elems = self._validate_sub_batch(elements)
-        if not elems:
-            return BatchOutcome(())
-        return self._ingest_batch(elems, [self._assign_label(e) for e in elems])
-
-    def _validate_sub_batch(
-        self, elements: Sequence[StreamElement]
-    ) -> List[StreamElement]:
-        elems = list(elements)
-        previous = self._m
-        for element in elems:
-            if element.kappa <= previous:
-                raise ValueError(
-                    f"shard kappas must increase: "
-                    f"{element.kappa} <= {previous}"
-                )
-            if len(element.values) != self.dim:
-                raise DimensionMismatchError(self.dim, len(element.values))
-            previous = element.kappa
-        return elems
-
-    # -- label hooks ----------------------------------------------------
-
-    def _final_threshold(self, last_label: float, count: int) -> float:
-        """Window start at the chunk's last arrival.  The base class
-        adds ``count`` to ``self._m`` (consecutive labels); a shard's
-        labels stride by ``S``, but the last label is known exactly."""
-        return last_label - self.capacity + 1
-
-    # -- misuse guards --------------------------------------------------
-
-    def append(
-        self, values: Sequence[float], payload: Any = None
-    ) -> ArrivalOutcome:
-        raise ReproError(_ROUTER_ONLY)
-
-    def append_many(
-        self,
-        points: Sequence[Sequence[float]],
-        payloads: Optional[Sequence[Any]] = None,
-    ) -> BatchOutcome:
-        raise ReproError(_ROUTER_ONLY)
-
-    # -- fan-out query surface ------------------------------------------
-
-    def stab_elements(self, stab: float) -> List[StreamElement]:
-        """This shard's answer to a global stab point, kappa-ascending:
-        the skyline of the shard's sub-stream suffix ``kappa >= stab``
-        (Theorem 3 on the sub-stream)."""
-        if self._m == 0:
-            self.stats.record_query(0)
-            return []
-        records = self._stab_cache.stab(stab)  # sorted by kappa
-        self.stats.record_query(len(records))
-        return [r.element for r in records]
-
-    def retained_suffix(self, stab: float) -> List[StreamElement]:
-        """Retained elements with ``kappa >= stab``, kappa-ascending
-        (the shard's in-window witnesses for merge verification)."""
-        return [
-            record.element
-            for _, record in self._labels.items()
-            if record.element.kappa >= stab
-        ]
 
 
-class ShardKSkybandEngine(KSkybandEngine):
+class ShardKSkybandEngine(_RouterFed, KSkybandEngine):
     """One shard's k-skyband engine, labelled with global kappas.
 
-    Same construction as :class:`ShardNofNEngine`; the skyband interval
-    encoding already uses raw kappas, so only the batch chunk size needs
-    the stride: the skyband chunk loop has no pending-expiry path, and a
-    chunk spanning fewer than ``capacity`` kappas guarantees no chunk
-    member can expire before its in-chunk ``k``-th dominator arrives.
+    Same construction as :class:`ShardNofNEngine`; only the batch chunk
+    size needs the stride: a chunk spanning fewer than ``capacity``
+    kappas guarantees no chunk member can expire before its in-chunk
+    ``k``-th dominator arrives.
     """
 
     def __init__(
@@ -173,62 +167,14 @@ class ShardKSkybandEngine(KSkybandEngine):
         capacity: int,
         k: int,
         stride: int,
-        rtree_max_entries: int = 12,
-        rtree_min_entries: int = 4,
+        rtree_max_entries: int = DEFAULT_MAX_ENTRIES,
         sanitize: SanitizeArg = "off",
         batch_chunk: Optional[int] = None,
     ) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        super().__init__(
-            dim,
-            capacity,
-            k,
-            rtree_max_entries=rtree_max_entries,
-            rtree_min_entries=rtree_min_entries,
-            sanitize=sanitize,
-            batch_chunk=batch_chunk,
+        self._set_stride(stride)
+        KSkybandEngine.__init__(
+            self, dim, capacity, k, rtree_max_entries, sanitize, batch_chunk
         )
-        self._stride = stride
-
-    # -- router-fed ingestion ------------------------------------------
-
-    def ingest(self, element: StreamElement) -> None:
-        """Run one arrival for a router-labelled element."""
-        if element.kappa <= self._m:
-            raise ValueError(
-                f"shard kappas must increase: {element.kappa} <= {self._m}"
-            )
-        if len(element.values) != self.dim:
-            raise DimensionMismatchError(self.dim, len(element.values))
-        self._m = element.kappa
-        self._arrive(element)
-
-    def ingest_many(self, elements: Sequence[StreamElement]) -> None:
-        """Batched :meth:`ingest` through the inherited fast path.
-
-        Consecutive kappas must not gap by more than ``stride`` (the
-        router's round-robin guarantees exactly ``stride``); the chunk
-        bound below relies on it.
-        """
-        elems = list(elements)
-        previous = self._m
-        for element in elems:
-            if element.kappa <= previous:
-                raise ValueError(
-                    f"shard kappas must increase: "
-                    f"{element.kappa} <= {previous}"
-                )
-            if previous and element.kappa - previous > self._stride:
-                raise ValueError(
-                    f"shard kappa gap {element.kappa - previous} exceeds "
-                    f"stride {self._stride}"
-                )
-            if len(element.values) != self.dim:
-                raise DimensionMismatchError(self.dim, len(element.values))
-            previous = element.kappa
-        if elems:
-            self._ingest_elements(elems)
 
     def _batch_chunk_size(self) -> int:
         """Largest chunk spanning at most ``capacity - 1`` kappas under
@@ -236,48 +182,6 @@ class ShardKSkybandEngine(KSkybandEngine):
         return max(
             1, min(self._batch_chunk, (self.capacity - 1) // self._stride + 1)
         )
-
-    # -- misuse guards --------------------------------------------------
-
-    def append(
-        self, values: Sequence[float], payload: Any = None
-    ) -> StreamElement:
-        raise ReproError(_ROUTER_ONLY)
-
-    def append_many(
-        self,
-        points: Sequence[Sequence[float]],
-        payloads: Optional[Sequence[Any]] = None,
-    ) -> List[StreamElement]:
-        raise ReproError(_ROUTER_ONLY)
-
-    # -- fan-out query surface ------------------------------------------
-
-    def stab_elements(self, stab: float) -> List[StreamElement]:
-        """This shard's k-skyband answer to a global stab point
-        (generalised Theorem 3 on the sub-stream), kappa-ascending."""
-        if self._m == 0:
-            self.stats.record_query(0)
-            return []
-        records = self._stab_cache.stab(stab)  # sorted by kappa
-        self.stats.record_query(len(records))
-        return [r.element for r in records]
-
-    def retained_suffix(self, stab: float) -> List[StreamElement]:
-        """Retained elements with ``kappa >= stab``, kappa-ascending.
-
-        These are the merge's dominance witnesses: within a shard, the
-        ``k`` youngest in-window dominators of any element are always
-        retained (pruning one would require ``k`` even younger in-shard
-        dominators, a contradiction), so counting a candidate's
-        dominators over the union of all shards' suffixes decides band
-        membership exactly.
-        """
-        return [
-            record.element
-            for _, record in self._labels.items()
-            if record.element.kappa >= stab
-        ]
 
 
 ShardEngine = Union[ShardNofNEngine, ShardKSkybandEngine]
@@ -293,7 +197,6 @@ def build_shard_engine(spec: Mapping[str, Any]) -> ShardEngine:
     kind = spec["kind"]
     common: Dict[str, Any] = {
         "rtree_max_entries": spec["rtree_max_entries"],
-        "rtree_min_entries": spec["rtree_min_entries"],
         "sanitize": spec["sanitize"],
         # Older specs lack the key; ``None`` resolves to the default.
         "batch_chunk": spec.get("batch_chunk"),

@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from repro.accel.batch_prefilter import resolve_batch_chunk
 from repro.core.element import StreamElement
 from repro.core.stats import EngineStats
+from repro.core.window import batch_elements
 from repro.exceptions import DimensionMismatchError, InvalidWindowError
 from repro.parallel.executors import ProcessExecutor, SerialExecutor
 from repro.parallel.merge import merge_skyband, merge_skyline
@@ -64,7 +65,6 @@ class _ShardedRouter:
         shards: int = 4,
         backend: str = "serial",
         rtree_max_entries: int = 12,
-        rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
         timeout: float = 120.0,
         replicas: str = "auto",
@@ -100,10 +100,7 @@ class _ShardedRouter:
         self.backend = backend
         self._m = 0
         self._sanitizer = InvariantSanitizer.coerce(sanitize)
-        self._rtree_config = {
-            "rtree_max_entries": rtree_max_entries,
-            "rtree_min_entries": rtree_min_entries,
-        }
+        self._rtree_max_entries = rtree_max_entries
         self._batch_chunk = resolve_batch_chunk(batch_chunk)
         self.replica_mode = replicas
         self.replica_lag = replica_lag
@@ -135,8 +132,7 @@ class _ShardedRouter:
             "dim": self.dim,
             "capacity": self.capacity,
             "stride": self.shards,
-            "rtree_max_entries": self._rtree_config["rtree_max_entries"],
-            "rtree_min_entries": self._rtree_config["rtree_min_entries"],
+            "rtree_max_entries": self._rtree_max_entries,
             "sanitize": self.sanitize_mode,
             "batch_chunk": self._batch_chunk,
         }
@@ -170,19 +166,7 @@ class _ShardedRouter:
         Validation is all-or-nothing, as everywhere else: a bad point
         anywhere in the batch raises before any shard sees anything.
         """
-        pts = list(points)
-        if payloads is None:
-            payloads = [None] * len(pts)
-        elif len(payloads) != len(pts):
-            raise ValueError(
-                f"got {len(pts)} points but {len(payloads)} payloads"
-            )
-        elements: List[StreamElement] = []
-        for offset, (values, payload) in enumerate(zip(pts, payloads)):
-            element = StreamElement(values, self._m + offset + 1, payload)
-            if len(element.values) != self.dim:
-                raise DimensionMismatchError(self.dim, len(element.values))
-            elements.append(element)
+        elements = batch_elements(self.dim, self._m, points, payloads)
         per_shard: List[List[StreamElement]] = [
             [] for _ in range(self.shards)
         ]
@@ -505,7 +489,6 @@ class ShardedKSkyband(_ShardedRouter):
         shards: int = 4,
         backend: str = "serial",
         rtree_max_entries: int = 12,
-        rtree_min_entries: int = 4,
         sanitize: SanitizeArg = "off",
         timeout: float = 120.0,
         replicas: str = "auto",
@@ -521,7 +504,6 @@ class ShardedKSkyband(_ShardedRouter):
             shards=shards,
             backend=backend,
             rtree_max_entries=rtree_max_entries,
-            rtree_min_entries=rtree_min_entries,
             sanitize=sanitize,
             timeout=timeout,
             replicas=replicas,

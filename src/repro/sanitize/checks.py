@@ -404,26 +404,36 @@ def verify_n1n2(engine: "N1N2Skyline") -> None:
             f"|P_N| is {len(records)}, expected {expected_window}",
             engine=name,
         )
-    if len(engine._live) + len(engine._superseded) != expected_window:
+    live, superseded = engine._intervals, engine._superseded
+    if len(live) + len(superseded) != expected_window:
         raise corruption(
             "engine",
             "counts",
-            f"interval trees hold {len(engine._live)} + "
-            f"{len(engine._superseded)} intervals for a window of "
+            f"interval trees hold {len(live)} + "
+            f"{len(superseded)} intervals for a window of "
             f"{expected_window}",
             engine=name,
         )
-    if len(engine._rtree) != len(engine._live):
+    if len(engine._rtree) != len(live):
         raise corruption(
             "engine",
             "counts",
             f"R-tree holds {len(engine._rtree)} entries but I_RN holds "
-            f"{len(engine._live)}",
+            f"{len(live)}",
+            engine=name,
+        )
+    if list(engine._labels) != sorted(records):
+        raise corruption(
+            "engine",
+            "counts",
+            f"label set holds {len(engine._labels)} labels for a window "
+            f"of {expected_window}, or out of step with it",
             engine=name,
         )
     engine._rtree.check_invariants()
-    engine._live.check_invariants()
-    engine._superseded.check_invariants()
+    live.check_invariants()
+    superseded.check_invariants()
+    engine._labels.check_invariants()
 
     for kappa, record in records.items():
         if record.element.kappa != kappa:
@@ -443,7 +453,7 @@ def verify_n1n2(engine: "N1N2Skyline") -> None:
                 kappas=(kappa,),
                 engine=name,
             )
-        tree = engine._live if record.in_rn else engine._superseded
+        tree = live if record.in_rn else superseded
         low, high = tree.endpoints(record.handle)
         if high != float(kappa) or low != float(record.a_kappa):
             raise corruption(
@@ -559,7 +569,7 @@ def _check_n1n2_stabbing(engine: "N1N2Skyline", name: str) -> None:
         stab = max(1, m - n2 + 1)
         got = sorted(
             record.element.kappa
-            for record in engine._live.stab(stab)
+            for record in engine._intervals.stab(stab)
             if record.element.kappa <= upper
         )
         if n1 > 1:
@@ -587,9 +597,9 @@ def _check_n1n2_stabbing(engine: "N1N2Skyline", name: str) -> None:
                 engine=name,
             )
         _check_stab_cache_at(
-            engine._live_cache,
+            engine._stab_cache,
             stab,
-            sorted(r.element.kappa for r in engine._live.stab(stab)),
+            sorted(r.element.kappa for r in engine._intervals.stab(stab)),
             name,
         )
         _check_stab_cache_at(

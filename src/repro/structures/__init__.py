@@ -9,10 +9,7 @@ Everything here is self-contained and paper-faithful:
   of blocks as index ranges) answering the paper's dominance reporting
   and best-first dominator search;
 * :mod:`repro.structures.heap` — indexed min/max heaps (trigger lists);
-* :mod:`repro.structures.labelset` — the ordered label set of Figure 6;
-* :mod:`repro.structures.rbtree` — augmentable red-black tree, the
-  substrate of the Kapoor 2-d baseline
-  (:mod:`repro.baselines.dynamic2d`) only.
+* :mod:`repro.structures.labelset` — the ordered label set of Figure 6.
 """
 
 from repro.structures.heap import IndexedHeap, MaxIndexedHeap, MinIndexedHeap

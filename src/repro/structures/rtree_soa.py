@@ -53,10 +53,8 @@ from repro.exceptions import (
 
 Point = Tuple[float, ...]
 
-#: Default fan-out bounds (Guttman's M and m); the block capacity is
-#: derived from ``max_entries``.
+#: Default fan-out (Guttman's M); the block capacity is derived from it.
 DEFAULT_MAX_ENTRIES = 12
-DEFAULT_MIN_ENTRIES = 4
 
 #: Fraction below which average block occupancy triggers a repack.
 _REPACK_OCCUPANCY = 0.35
@@ -92,10 +90,9 @@ class SoARTree:
     ----------
     dim:
         Dimensionality of stored points.
-    max_entries / min_entries:
-        Guttman fan-out bounds, validated as for an R-tree
-        (``2 <= min_entries <= max_entries // 2``); the block capacity
-        is derived from ``max_entries``.
+    max_entries:
+        Fan-out bound of an R-tree node (``>= 4``); the block capacity
+        is derived from it.
     block_capacity:
         Rows per block; defaults to ``max(32, 4 * max_entries)``.
     """
@@ -104,19 +101,14 @@ class SoARTree:
         self,
         dim: int,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        min_entries: int = DEFAULT_MIN_ENTRIES,
         block_capacity: Optional[int] = None,
     ) -> None:
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
-        if not 2 <= min_entries <= max_entries // 2:
-            raise ValueError(
-                f"need 2 <= min_entries <= max_entries // 2, got "
-                f"min={min_entries}, max={max_entries}"
-            )
+        if max_entries < 4:
+            raise ValueError(f"need max_entries >= 4, got {max_entries}")
         self.dim = dim
         self.max_entries = max_entries
-        self.min_entries = min_entries
         if block_capacity is None:
             block_capacity = max(32, 4 * max_entries)
         if block_capacity < 2:
@@ -156,13 +148,6 @@ class SoARTree:
     def entries(self) -> Iterator[SoAEntry]:
         """Iterate all entries (arbitrary deterministic order)."""
         return iter(list(self._entries.values()))
-
-    def entry(self, kappa: int) -> SoAEntry:
-        """The entry labelled ``kappa``."""
-        entry = self._entries.get(kappa)
-        if entry is None:
-            raise KeyNotFoundError(f"no entry with kappa={kappa}")
-        return entry
 
     def active_blocks(self) -> int:
         """Number of non-empty blocks (introspection/benchmarks)."""

@@ -287,7 +287,7 @@ class TestBatchChunkKnob:
             )
         spec = {
             "kind": "skyband", "dim": 2, "capacity": 10, "k": 2,
-            "stride": 2, "rtree_max_entries": 12, "rtree_min_entries": 4,
+            "stride": 2, "rtree_max_entries": 12,
             "sanitize": "off", "batch_chunk": 9,
         }
         engine = build_shard_engine(spec)

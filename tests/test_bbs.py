@@ -32,7 +32,7 @@ class TestBBSBasics:
     def test_small_fanout_tree(self):
         rng = random.Random(2)
         points = [(rng.random(), rng.random()) for _ in range(100)]
-        assert bbs_skyline(points, max_entries=4, min_entries=2) == (
+        assert bbs_skyline(points, max_entries=4) == (
             naive_skyline(points)
         )
 

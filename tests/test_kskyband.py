@@ -159,3 +159,24 @@ class TestKSkybandProperties:
         for point in history:
             engine.append(point)
             engine.check_invariants()
+
+
+class TestChunkSurvivorGuard:
+    def test_survivor_reaching_k_in_its_chunk_raises(self, monkeypatch):
+        """A chunk survivor gains younger dominators from later members
+        of its chunk without leaving (the prefilter parks every member
+        that reaches ``k``).  If the prefilter under-reports, the
+        frame raises instead of pruning silently."""
+        from repro.accel import batch_prefilter
+        from repro.core import window
+        from repro.exceptions import StructureCorruptionError
+
+        class Blind(batch_prefilter.BatchPrefilter):
+            def _build(self, points):
+                super()._build(points)
+                self.kill = [-1] * self.size  # nobody is doomed
+
+        monkeypatch.setattr(window, "BatchPrefilter", Blind)
+        engine = KSkybandEngine(dim=2, capacity=10, k=2)
+        with pytest.raises(StructureCorruptionError, match="chunk survivor"):
+            engine.append_many([(0.9, 0.9), (0.5, 0.5), (0.1, 0.1)])

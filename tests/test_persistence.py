@@ -200,9 +200,7 @@ class TestRTreeConfigRoundTrip:
 
     coord = st.integers(0, 6).map(lambda v: v / 6)
 
-    FANOUTS = st.tuples(st.integers(4, 16), st.integers(2, 5)).filter(
-        lambda t: t[1] * 2 <= t[0]
-    )
+    FANOUTS = st.integers(4, 16)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -211,18 +209,13 @@ class TestRTreeConfigRoundTrip:
         FANOUTS,
     )
     def test_nofn_tuning_round_trips(self, history, capacity, fanout):
-        max_entries, min_entries = fanout
         engine = NofNSkyline(
-            dim=2,
-            capacity=capacity,
-            rtree_max_entries=max_entries,
-            rtree_min_entries=min_entries,
+            dim=2, capacity=capacity, rtree_max_entries=fanout
         )
         for point in history:
             engine.append(point)
         clone = restore(snapshot(engine))
-        assert clone._rtree.max_entries == max_entries
-        assert clone._rtree.min_entries == min_entries
+        assert clone._rtree.max_entries == fanout
         clone.check_invariants()
         for n in range(1, capacity + 1):
             assert [e.kappa for e in clone.query(n)] == [
@@ -234,13 +227,11 @@ class TestRTreeConfigRoundTrip:
             dim=2,
             horizon=5.0,
             rtree_max_entries=6,
-            rtree_min_entries=3,
         )
         for i, point in enumerate(materialize("independent", 2, 60, seed=4)):
             engine.append(point, float(i + 1))
         clone = restore(snapshot(engine))
         assert clone._rtree.max_entries == 6
-        assert clone._rtree.min_entries == 3
         assert [e.kappa for e in clone.skyline()] == [
             e.kappa for e in engine.skyline()
         ]
@@ -250,13 +241,11 @@ class TestRTreeConfigRoundTrip:
             dim=2,
             capacity=20,
             rtree_max_entries=8,
-            rtree_min_entries=4,
         )
         for point in materialize("anticorrelated", 2, 50, seed=9):
             engine.append(point)
         clone = restore(snapshot(engine))
         assert clone._rtree.max_entries == 8
-        assert clone._rtree.min_entries == 4
         for n1, n2 in ((1, 20), (5, 10), (20, 20)):
             assert [e.kappa for e in clone.query(n1, n2)] == [
                 e.kappa for e in engine.query(n1, n2)
@@ -272,7 +261,6 @@ class TestRTreeConfigRoundTrip:
         del snap["rtree"]
         clone = restore(snap)
         assert clone._rtree.max_entries == 12
-        assert clone._rtree.min_entries == 4
         assert [e.kappa for e in clone.skyline()] == [
             e.kappa for e in engine.skyline()
         ]
@@ -288,7 +276,7 @@ class TestRTreeConfigRoundTrip:
     def test_clone_with_tuning_keeps_evolving_identically(self):
         points = materialize("anticorrelated", 2, 120, seed=6)
         engine = NofNSkyline(
-            dim=2, capacity=30, rtree_max_entries=5, rtree_min_entries=2,
+            dim=2, capacity=30, rtree_max_entries=5,
         )
         for point in points[:80]:
             engine.append(point)
@@ -309,9 +297,11 @@ class TestLegacyIndexKeys:
     offered a stab-cache switch carry ``query.cache``.  The committed
     fixtures were written by those versions from :data:`POINTS` with
     ``capacity=10`` (``*_legacy_index_keys``: pointer layout, R* split,
-    kernels off; ``*_query_cache_off``: ``query_cache=False``); restore
-    must accept the keys, ignore them, and answer exactly like a fresh
-    engine."""
+    kernels off; ``*_query_cache_off``: ``query_cache=False``); those
+    written while it offered a minimum fan-out carry
+    ``rtree.min_entries`` (``*_min_entries``: 3 for the engine, 5 for
+    the sharded router).  Restore must accept the keys, ignore them,
+    and answer exactly like a fresh engine."""
 
     POINTS = [
         (float(i * 7 % 10), float((i * 3 + 5) % 11)) for i in range(1, 21)
@@ -323,6 +313,8 @@ class TestLegacyIndexKeys:
         snap = json.loads((FIXTURES / name).read_text())
         if "query_cache_off" in name:
             assert snap["query"] == {"cache": False}
+        elif "min_entries" in name:
+            assert snap["rtree"]["min_entries"] in (3, 5)
         else:
             assert snap["rtree"]["split"] == "rstar"
             assert snap["rtree"]["layout"] == "pointer"
@@ -342,6 +334,8 @@ class TestLegacyIndexKeys:
             "sharded_nofn_legacy_index_keys.json",
             "nofn_query_cache_off.json",
             "sharded_nofn_query_cache_off.json",
+            "nofn_min_entries.json",
+            "sharded_nofn_min_entries.json",
         ],
     )
     def test_fixture_answers_like_a_fresh_engine(self, name):
@@ -371,5 +365,5 @@ class TestLegacyIndexKeys:
                 engine.append(point)
                 router.append(point)
             for snap in (snapshot(engine), snapshot(router)):
-                assert set(snap["rtree"]) == {"max_entries", "min_entries"}
+                assert set(snap["rtree"]) == {"max_entries"}
                 assert "query" not in snap

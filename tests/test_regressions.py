@@ -70,7 +70,7 @@ class TestConstrainedRCorner:
     enough that the young cluster fills blocks of its own.)"""
 
     def test_young_cluster_hides_older_winner(self):
-        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
+        tree = SoARTree(2, max_entries=4, block_capacity=4)
         # A tight cluster of very young dominators (high kappas) whose
         # box r-corners immediately...
         for i in range(8):
@@ -197,19 +197,6 @@ class TestTimeWindowQueryScanSemantics:
         engine = TimeWindowSkyline(dim=2, horizon=10.0)
         engine.append((0.5, 0.5), 1.0)
         assert [e.kappa for e in engine.query_last(5.0)] == [1]
-
-
-class TestNilNodeSlots:
-    """``_NilNode`` once lacked ``__slots__``, so every red-black tree
-    paid for a sentinel ``__dict__`` and — worse — attribute typos on
-    NIL were silently absorbed instead of raising."""
-
-    def test_nil_has_no_dict(self):
-        from repro.structures.rbtree import NIL
-
-        assert not hasattr(NIL, "__dict__")
-        with pytest.raises(AttributeError):
-            NIL.aggregte = 1.0  # typo'd attribute must not be absorbed
 
 
 class TestContinuousHandleSlots:

@@ -43,8 +43,8 @@ class TestConstruction:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="dimension"):
             SoARTree(0)
-        with pytest.raises(ValueError, match="min_entries"):
-            SoARTree(2, max_entries=4, min_entries=3)
+        with pytest.raises(ValueError, match="max_entries"):
+            SoARTree(2, max_entries=3)
 
     def test_empty_tree(self):
         tree = SoARTree(2)
@@ -59,7 +59,7 @@ class TestInsert:
     def test_insert_and_lookup(self):
         tree = SoARTree(2)
         entry = tree.insert((0.5, 0.5), kappa=1, data="payload")
-        assert tree.entry(1) is entry
+        assert list(tree.entries()) == [entry]
         assert entry.data == "payload"
         assert 1 in tree
 
@@ -75,7 +75,7 @@ class TestInsert:
             tree.insert((0.1,), kappa=1)
 
     def test_split_adds_blocks(self):
-        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
+        tree = SoARTree(2, max_entries=4, block_capacity=4)
         for i in range(30):
             tree.insert((i / 30, (i * 7 % 30) / 30), kappa=i + 1)
         assert tree.active_blocks() >= 30 // 4
@@ -103,7 +103,7 @@ class TestDelete:
             SoARTree(2).delete(7)
 
     def test_delete_triggers_repack(self):
-        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
+        tree = SoARTree(2, max_entries=4, block_capacity=4)
         rng = random.Random(1)
         for i in range(40):
             tree.insert((rng.random(), rng.random()), kappa=i + 1)
@@ -116,7 +116,7 @@ class TestDelete:
         assert tree.active_blocks() <= 3 < spread
 
     def test_interleaved_insert_delete(self):
-        tree = SoARTree(3, max_entries=6, min_entries=2, block_capacity=6)
+        tree = SoARTree(3, max_entries=6, block_capacity=6)
         rng = random.Random(4)
         live = {}
         kappa = 0
@@ -152,7 +152,7 @@ class TestDominanceReporting:
         assert len(tree) == 1
 
     def test_remove_dominated_unlinks_and_rebalances(self):
-        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
+        tree = SoARTree(2, max_entries=4, block_capacity=4)
         rng = random.Random(8)
         live = {}
         for i in range(60):
@@ -169,7 +169,7 @@ class TestDominanceReporting:
         assert len(tree) == len(live)
 
     def test_l_corner_harvests_whole_block(self):
-        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
+        tree = SoARTree(2, max_entries=4, block_capacity=4)
         # A tight cluster that q dominates entirely.
         for i in range(20):
             tree.insert((0.8 + i * 0.002, 0.8 + i * 0.003), kappa=i + 1)
@@ -222,7 +222,7 @@ class TestSearchProperties:
         st.tuples(coords, coords, coords),
     )
     def test_searches_match_brute_force(self, raw_points, q):
-        tree = SoARTree(3, max_entries=5, min_entries=2, block_capacity=5)
+        tree = SoARTree(3, max_entries=5, block_capacity=5)
         live = {}
         for i, point in enumerate(raw_points):
             tree.insert(point, i + 1)
@@ -239,7 +239,7 @@ class TestSearchProperties:
         st.integers(1, 50),
     )
     def test_constrained_dominator_matches_brute_force(self, raw_points, q, cutoff):
-        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
+        tree = SoARTree(2, max_entries=4, block_capacity=4)
         live = {}
         for i, point in enumerate(raw_points):
             tree.insert(point, i + 1)
@@ -253,7 +253,7 @@ class TestSearchProperties:
     @given(st.lists(st.tuples(coords, coords), max_size=50),
            st.tuples(coords, coords))
     def test_remove_dominated_equals_report(self, raw_points, q):
-        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
+        tree = SoARTree(2, max_entries=4, block_capacity=4)
         for i, point in enumerate(raw_points):
             tree.insert(point, i + 1)
         reported = sorted(e.kappa for e in tree.report_dominated(q))

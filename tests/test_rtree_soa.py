@@ -71,8 +71,6 @@ class TestSoAMechanics:
             SoARTree(0)
         with pytest.raises(ValueError):
             SoARTree(2, max_entries=3)
-        with pytest.raises(ValueError):
-            SoARTree(2, max_entries=12, min_entries=7)
 
     def test_duplicate_kappa_rejected(self):
         tree = SoARTree(2)
@@ -178,7 +176,7 @@ class TestReportPruning:
 
     def test_visit_counts_match_mirror(self):
         rng = random.Random(42)
-        tree = SoARTree(3, max_entries=4, min_entries=2, block_capacity=4)
+        tree = SoARTree(3, max_entries=4, block_capacity=4)
         live = {}
         for kappa in range(1, 301):
             live[kappa] = tuple(rng.randint(0, 50) for _ in range(3))
@@ -196,7 +194,7 @@ class TestReportPruning:
     def test_high_probe_visits_nothing(self):
         """A probe dominating nothing and outside every candidate region
         must not expand a single block."""
-        tree = SoARTree(2, max_entries=4, min_entries=2, block_capacity=4)
+        tree = SoARTree(2, max_entries=4, block_capacity=4)
         for kappa in range(1, 30):
             tree.insert((kappa % 5, kappa % 7), kappa)
         assert tree.report_dominated((100, 100)) == []

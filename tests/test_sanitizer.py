@@ -344,7 +344,7 @@ class TestN1N2Corruption:
         record = next(
             r for r in engine._records.values() if r.a_kappa
         )
-        tree = engine._live if record.in_rn else engine._superseded
+        tree = engine._intervals if record.in_rn else engine._superseded
         kappa = record.element.kappa
         tree.remove(record.handle)
         record.a_kappa = 0

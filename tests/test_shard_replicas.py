@@ -68,7 +68,6 @@ def nofn_spec(capacity, stride=1, dim=2):
         "capacity": capacity,
         "stride": stride,
         "rtree_max_entries": 12,
-        "rtree_min_entries": 4,
         "sanitize": "off",
     }
 

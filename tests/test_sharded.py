@@ -234,6 +234,21 @@ class TestProcessBackend:
 
 
 class TestValidationAndGuards:
+    def test_shard_batches_reject_only_gaps_inside_the_batch(self):
+        from repro.parallel.shard_engines import ShardKSkybandEngine
+
+        engine = ShardKSkybandEngine(dim=2, capacity=10, k=1, stride=2)
+        engine.ingest(StreamElement((0.5, 0.5), 1))
+        # Eight kappas after the previous arrival, then one stride.
+        engine.ingest_many(
+            [StreamElement((0.4, 0.4), 9), StreamElement((0.3, 0.3), 11)]
+        )
+        with pytest.raises(ValueError, match="exceeds stride"):
+            engine.ingest_many(
+                [StreamElement((0.2, 0.2), 13), StreamElement((0.1, 0.1), 16)]
+            )
+        assert engine.seen_so_far == 11
+
     def test_constructor_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             ShardedNofNSkyline(dim=2, capacity=10, shards=0)
@@ -382,6 +397,33 @@ class TestPersistence:
                     same_elements(clone.query(n), reference.query(n))
                 assert clone.replica_stats()["serves"] == 1
 
+    @pytest.mark.parametrize("band", [False, True])
+    def test_batches_continue_after_resharding_a_sparse_snapshot(self, band):
+        """Only retained elements travel, so after re-sharding a shard
+        may hold nothing younger than an old root: its next sub-batch
+        starts far more than ``stride`` kappas after it, and must still
+        be accepted."""
+        # The first point is never dominated; every later one dominates
+        # all earlier ones but the first.
+        points = [(0.0, 1.0)] + [
+            (0.1 + 1.0 / (i + 1), 1.0 / (i + 1)) for i in range(1, 40)
+        ]
+        if band:
+            reference = KSkybandEngine(dim=2, capacity=30, k=1)
+            router = ShardedKSkyband(dim=2, capacity=30, k=1, shards=2)
+        else:
+            reference = NofNSkyline(dim=2, capacity=30)
+            router = ShardedNofNSkyline(dim=2, capacity=30, shards=2)
+        reference.append_many(points)
+        with router:
+            router.append_many(points[:21])
+            snap = snapshot(router)
+        assert [row["kappa"] for row in snap["records"]] == [1, 20, 21]
+        with restore(snap, shards=3) as clone:
+            clone.append_many(points[21:])
+            for n in (1, 10, 30):
+                same_elements(clone.query(n), reference.query(n))
+
     def test_growth_continues_after_restore(self, rng):
         points = random_points(rng, 2, 60, grid=7)
         reference = NofNSkyline(dim=2, capacity=10)
@@ -430,6 +472,56 @@ class TestIntrospectionUniformity:
             assert engine.structure_version > 0
             stats = engine.cache_stats()
             assert "misses" in stats
+
+    def test_every_window_core_engine_answers_the_shared_surface(self, rng):
+        """The engines built on the shared skeleton — N1N2 and the shard
+        engines included — expose one introspection surface."""
+        from repro import N1N2Skyline, TimeWindowSkyline
+        from repro.accel.batch_prefilter import CHUNK
+        from repro.accel.stab_cache import StabCache
+        from repro.core.window import WindowCore
+        from repro.parallel.shard_engines import (
+            ShardKSkybandEngine,
+            ShardNofNEngine,
+        )
+
+        points = random_points(rng, 2, 30, grid=6)
+        engines = [
+            NofNSkyline(dim=2, capacity=10),
+            KSkybandEngine(dim=2, capacity=10, k=2),
+            N1N2Skyline(dim=2, capacity=10),
+        ]
+        for engine in engines:
+            engine.append_many(points[:15])
+            for point in points[15:]:
+                engine.append(point)
+        window = TimeWindowSkyline(dim=2, horizon=5.0)
+        window.append_many(points[:15], [float(i + 1) for i in range(15)])
+        for i, point in enumerate(points[15:], start=16):
+            window.append(point, float(i))
+        engines.append(window)
+        for shard in (
+            ShardNofNEngine(dim=2, capacity=10, stride=2),
+            ShardKSkybandEngine(dim=2, capacity=10, k=2, stride=2),
+        ):
+            fed = [StreamElement(p, 2 * i + 1) for i, p in enumerate(points)]
+            shard.ingest_many(fed[:15])
+            for element in fed[15:]:
+                shard.ingest(element)
+            engines.append(shard)
+        for engine in engines:
+            name = type(engine).__name__
+            assert isinstance(engine, WindowCore), name
+            assert engine.seen_so_far == (
+                59 if name.startswith("Shard") else 30
+            ), name
+            assert engine.sanitizer is None and engine.sanitize_mode == "off"
+            assert engine.structure_version > 0, name
+            assert engine.batch_chunk == CHUNK, name
+            assert {"hits", "misses", "rebuilds"} <= set(engine.cache_stats())
+            assert isinstance(engine.stab_cache, StabCache), name
+            assert 0 < len(engine) <= 30, name
+            engine.check_invariants()
 
     def test_sharded_router_aggregates(self, rng):
         with ShardedNofNSkyline(dim=2, capacity=10, shards=3) as router:
